@@ -12,17 +12,14 @@ import sys
 
 from . import harness, reductions, solvers
 from .control import (
-    AddCandidates, AddSet, AddVoters, CandidatePartition, DeleteCandidates,
-    DeleteSet, DeleteVoters, DeleteVoterSet, AddVoterSet, PartitionCandidates,
-    PartitionVoters, RunoffPartitionCandidates, VoterPartition,
-    CONSTRUCTIVE, DESTRUCTIVE, TE, TP, parse_instance, format_instance,
+    AddSet, AddVoterSet, CandidatePartition, DeleteSet, DeleteVoterSet,
+    VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, SHAPES, TE, TP,
+    format_instance, parse_instance,
 )
 from .core import parse_election
-from .errors import (
-    BudgetExceeded, InvalidName, ParseError, ReplayMismatch, VotectrlError,
-    WrongSystem,
-)
-from .systems import ATOMIC_TAGS, atomic, parse_system, winners
+from .errors import BudgetExceeded, ParseError, ReplayMismatch, VotectrlError
+from .solvers import poly_decide
+from .systems import ATOMIC_TAGS, atomic, hybrid, parse_system, winners
 
 DEFAULT_SEED = 2024
 
@@ -31,43 +28,29 @@ def _render_ids(ids) -> str:
     return "{" + ",".join(str(i) for i in sorted(ids)) + "}"
 
 
+_ACTION_FORMATS = {
+    AddSet: "add {added}",
+    DeleteSet: "delete {deleted}",
+    CandidatePartition: "partition {side1} | {side2}",
+    VoterPartition: "voter-partition side1 {side1}",
+    AddVoterSet: "add-voters {added}",
+    DeleteVoterSet: "delete-voters {deleted}",
+}
+
+
 def render_action(action) -> str:
-    if isinstance(action, AddSet):
-        return f"add {_render_ids(action.added)}"
-    if isinstance(action, DeleteSet):
-        return f"delete {_render_ids(action.deleted)}"
-    if isinstance(action, CandidatePartition):
-        return f"partition {_render_ids(action.side1)} | {_render_ids(action.side2)}"
-    if isinstance(action, VoterPartition):
-        return f"voter-partition side1 {_render_ids(action.side1)}"
-    if isinstance(action, AddVoterSet):
-        return f"add-voters {_render_ids(action.added)}"
-    if isinstance(action, DeleteVoterSet):
-        return f"delete-voters {_render_ids(action.deleted)}"
-    return repr(action)
+    fmt = _ACTION_FORMATS.get(type(action))
+    if fmt is None:
+        return repr(action)
+    return fmt.format_map({name: _render_ids(ids) for name, ids in vars(action).items()})
 
 
-def poly_decide(instance) -> solvers.Decision:
-    """Dispatch to the polynomial decider covering this instance, if any."""
-    sid = instance.system
-    if isinstance(instance, AddCandidates) and sid.is_hybrid:
-        return solvers.ccac_hybrid_poly(instance)
-    if isinstance(instance, (AddVoters, DeleteVoters, PartitionVoters)) and sid.is_hybrid:
-        return solvers.route_and_solve_voters(instance)
-    if (isinstance(instance, DeleteCandidates) and sid.tag == "e1_prefix"
-            and instance.goal == CONSTRUCTIVE):
-        return solvers.e1_prefix_ccdc_poly(instance)
-    if (isinstance(instance, RunoffPartitionCandidates) and sid.tag == "e1_tri"
-            and instance.goal == CONSTRUCTIVE):
-        return solvers.e1_tri_ccrpc_poly(instance)
-    if (isinstance(instance, PartitionCandidates) and sid.tag == "e1_tri_even"
-            and instance.goal == CONSTRUCTIVE):
-        return solvers.e1_tri_even_ccpc_poly(instance)
-    if (sid.tag in ("e0_dfirst", "e1_second") and instance.goal == DESTRUCTIVE
-            and isinstance(instance, (DeleteCandidates, PartitionCandidates,
-                                      RunoffPartitionCandidates))):
-        return solvers.destructive_poly(instance)
-    raise WrongSystem("no polynomial decider covers this instance; use --solver brute")
+def _natural(text: str) -> int:
+    """argparse type for a count that may not be negative."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {n}")
+    return n
 
 
 def _read(path: str) -> str:
@@ -128,8 +111,11 @@ def _build_reduction(args):
 
 def cmd_reduce(args) -> int:
     _, instance = _build_reduction(args)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(instance))
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(format_instance(instance))
+    except OSError as exc:
+        raise VotectrlError(f"cannot write {args.output}: {exc}") from exc
     print(f"wrote {instance.type_code} instance to {args.output}")
     return 0
 
@@ -179,7 +165,7 @@ def cmd_suite(args) -> int:
         constituents = tuple(atomic(t) for t in ("plurality", "condorcet", "not_all_one"))
         bad = 0
         for _ in range(args.trials):
-            shape = rng.choice(harness._SHAPES)
+            shape = rng.choice(SHAPES)
             goal = rng.choice((CONSTRUCTIVE, DESTRUCTIVE))
             tie = rng.choice((TE, TP))
             index = rng.randrange(len(constituents))
@@ -191,38 +177,25 @@ def cmd_suite(args) -> int:
         print(f"{verdict} inheritance {args.trials - bad}/{args.trials}")
         return 0 if bad == 0 else 1
 
-    # agreement: sampled polynomial-vs-brute-force checks
-    bad = 0
-    checked = 0
-
-    def check(decision, instance):
-        nonlocal bad, checked
-        checked += 1
-        if decision.answer != solvers.brute_force_decide(instance).answer:
-            bad += 1
-            print(f"disagreement on {instance!r}")
-
-    from .systems import hybrid
-    two_way = hybrid("e_first", "e_last")
+    # agreement: sampled polynomial-vs-brute-force checks; each trial draws
+    # one instance per (shape, goal, system, max candidates, max voters)
+    # case, and a case without a goal draws one
+    cases = [("AC", None, hybrid("e_first", "e_last"), 4, 3),
+             ("DC", CONSTRUCTIVE, atomic("e1_prefix"), 5, 4),
+             ("RPC", CONSTRUCTIVE, atomic("e1_tri"), 4, 4),
+             ("PC", CONSTRUCTIVE, atomic("e1_tri_even"), 4, 2)]
+    cases += [(shape, DESTRUCTIVE, atomic(tag), 4, 3)
+              for tag in ("e0_dfirst", "e1_second") for shape in ("DC", "PC", "RPC")]
+    bad = checked = 0
     for _ in range(args.trials):
-        goal = rng.choice((CONSTRUCTIVE, DESTRUCTIVE))
-        inst = harness.random_instance(rng, "AC", goal, two_way, max_candidates=4,
-                                       max_voters=3)
-        check(solvers.ccac_hybrid_poly(inst), inst)
-        inst = harness.random_instance(rng, "DC", CONSTRUCTIVE, atomic("e1_prefix"),
-                                       max_candidates=5, max_voters=4)
-        check(solvers.e1_prefix_ccdc_poly(inst), inst)
-        inst = harness.random_instance(rng, "RPC", CONSTRUCTIVE, atomic("e1_tri"),
-                                       max_candidates=4, max_voters=4)
-        check(solvers.e1_tri_ccrpc_poly(inst), inst)
-        inst = harness.random_instance(rng, "PC", CONSTRUCTIVE, atomic("e1_tri_even"),
-                                       max_candidates=4, max_voters=2)
-        check(solvers.e1_tri_even_ccpc_poly(inst), inst)
-        for tag in ("e0_dfirst", "e1_second"):
-            for shape in ("DC", "PC", "RPC"):
-                inst = harness.random_instance(rng, shape, DESTRUCTIVE, atomic(tag),
-                                               max_candidates=4, max_voters=3)
-                check(solvers.destructive_poly(inst), inst)
+        for shape, goal, sid, max_candidates, max_voters in cases:
+            inst = harness.random_instance(
+                rng, shape, goal or rng.choice((CONSTRUCTIVE, DESTRUCTIVE)), sid,
+                max_candidates=max_candidates, max_voters=max_voters)
+            checked += 1
+            if poly_decide(inst).answer != solvers.brute_force_decide(inst).answer:
+                bad += 1
+                print(f"disagreement on {inst!r}")
     verdict = "PASS" if bad == 0 else "FAIL"
     print(f"{verdict} agreement {checked - bad}/{checked}")
     return 0 if bad == 0 else 1
@@ -265,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anonymity", help="search for a candidate-renaming violation")
     p.add_argument("--system", required=True)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_natural, default=10000)
     p.set_defaults(func=cmd_anonymity)
 
     p = sub.add_parser("suite", help="run a verification suite")
     p.add_argument("suite", choices=("replay", "inheritance", "agreement"))
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_natural, default=50)
     p.set_defaults(func=cmd_suite)
     return parser
 
@@ -289,7 +262,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, InvalidName, WrongSystem, VotectrlError) as exc:
+    except VotectrlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

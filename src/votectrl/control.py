@@ -5,15 +5,21 @@ distinguished candidate, and one of seven structural attack shapes; with
 constructive/destructive goals this yields the twenty control types
 (partition types additionally carry a TE/TP tie model).  ``outcome``
 applies one concrete chair action and returns the final winner set;
-``goal_met`` tests the chair's goal on it.
+``goal_met`` tests the chair's goal on it.  Everything that depends on
+the shape reads it from one table, ``SPECS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence, Union
+from itertools import combinations
+from math import comb
+from typing import Callable, Iterator, Sequence, Union
 
-from .core import Ballot, format_ballot, parse_ballot_line, restrict, unique_winner
+from .core import (
+    Ballot, _content_lines, _parse_ids, check_ballots, format_ballot,
+    parse_ballot_line, restrict, unique_winner,
+)
 from .errors import BoundViolation, ParseError, ShapeMismatch
 from .systems import SystemId, format_system, parse_system, raw_winners
 
@@ -25,26 +31,39 @@ TP = "TP"
 Evaluator = Callable[[frozenset[int], tuple[Ballot, ...]], frozenset[int]]
 
 
-def _check_ballots(ballots: Sequence[Sequence[int]], universe: frozenset[int]) -> tuple[Ballot, ...]:
-    out = tuple(tuple(b) for b in ballots)
-    for b in out:
-        if len(b) != len(universe) or frozenset(b) != universe:
-            raise ValueError(f"ballot {b} is not a permutation of {sorted(universe)}")
-    return out
+class _Instance:
+    """Validation and the type code shared by the seven instance classes."""
 
+    def __post_init__(self):
+        shape = SHAPE_OF[type(self)]
+        if self.goal not in (CONSTRUCTIVE, DESTRUCTIVE):
+            raise ValueError(f"bad goal {self.goal!r}")
+        if shape.has_tie and self.tie not in (TE, TP):
+            raise ValueError(f"bad tie model {self.tie!r}")
+        universe = frozenset()
+        for name in shape.sets:
+            members = frozenset(getattr(self, name))
+            object.__setattr__(self, name, members)
+            if universe & members:
+                raise ValueError(f"{' and '.join(shape.sets)} must be disjoint")
+            universe |= members
+        if self.distinguished not in getattr(self, shape.sets[0]):
+            raise ValueError(f"distinguished candidate must be in {shape.sets[0]}")
+        if shape.has_k:
+            cap = len(getattr(self, shape.k_cap)) if shape.k_cap else None
+            if self.limit < 0 or (cap is not None and self.limit > cap):
+                raise ValueError(f"limit {self.limit} is outside 0..{'' if cap is None else cap}")
+        for name in shape.profiles:
+            object.__setattr__(self, name, check_ballots(getattr(self, name), universe))
 
-def _check_goal(goal: str) -> None:
-    if goal not in (CONSTRUCTIVE, DESTRUCTIVE):
-        raise ValueError(f"bad goal {goal!r}")
-
-
-def _check_tie(tie: str) -> None:
-    if tie not in (TE, TP):
-        raise ValueError(f"bad tie model {tie!r}")
+    @property
+    def type_code(self) -> str:
+        goal = "CC" if self.goal == CONSTRUCTIVE else "DC"
+        return goal + SHAPE_OF[type(self)].code
 
 
 @dataclass(frozen=True)
-class AddCandidates:
+class AddCandidates(_Instance):
     system: SystemId
     qualified: frozenset[int]
     spoilers: frozenset[int]
@@ -52,25 +71,9 @@ class AddCandidates:
     ballots: tuple[Ballot, ...]  # over qualified ∪ spoilers
     goal: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "qualified", frozenset(self.qualified))
-        object.__setattr__(self, "spoilers", frozenset(self.spoilers))
-        _check_goal(self.goal)
-        if self.qualified & self.spoilers:
-            raise ValueError("qualified and spoiler sets must be disjoint")
-        if self.distinguished not in self.qualified:
-            raise ValueError("distinguished candidate must be qualified")
-        object.__setattr__(
-            self, "ballots",
-            _check_ballots(self.ballots, self.qualified | self.spoilers))
-
-    @property
-    def type_code(self) -> str:
-        return ("CCAC" if self.goal == CONSTRUCTIVE else "DCAC")
-
 
 @dataclass(frozen=True)
-class DeleteCandidates:
+class DeleteCandidates(_Instance):
     system: SystemId
     candidates: frozenset[int]
     distinguished: int
@@ -78,22 +81,9 @@ class DeleteCandidates:
     limit: int
     goal: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
-        _check_goal(self.goal)
-        if self.distinguished not in self.candidates:
-            raise ValueError("distinguished candidate must be a candidate")
-        if self.limit < 0:
-            raise ValueError("limit must be >= 0")
-        object.__setattr__(self, "ballots", _check_ballots(self.ballots, self.candidates))
-
-    @property
-    def type_code(self) -> str:
-        return ("CCDC" if self.goal == CONSTRUCTIVE else "DCDC")
-
 
 @dataclass(frozen=True)
-class PartitionCandidates:
+class PartitionCandidates(_Instance):
     system: SystemId
     candidates: frozenset[int]
     distinguished: int
@@ -101,21 +91,9 @@ class PartitionCandidates:
     tie: str
     goal: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
-        _check_goal(self.goal)
-        _check_tie(self.tie)
-        if self.distinguished not in self.candidates:
-            raise ValueError("distinguished candidate must be a candidate")
-        object.__setattr__(self, "ballots", _check_ballots(self.ballots, self.candidates))
-
-    @property
-    def type_code(self) -> str:
-        return ("CCPC" if self.goal == CONSTRUCTIVE else "DCPC")
-
 
 @dataclass(frozen=True)
-class RunoffPartitionCandidates:
+class RunoffPartitionCandidates(_Instance):
     system: SystemId
     candidates: frozenset[int]
     distinguished: int
@@ -123,21 +101,9 @@ class RunoffPartitionCandidates:
     tie: str
     goal: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
-        _check_goal(self.goal)
-        _check_tie(self.tie)
-        if self.distinguished not in self.candidates:
-            raise ValueError("distinguished candidate must be a candidate")
-        object.__setattr__(self, "ballots", _check_ballots(self.ballots, self.candidates))
-
-    @property
-    def type_code(self) -> str:
-        return ("CCRPC" if self.goal == CONSTRUCTIVE else "DCRPC")
-
 
 @dataclass(frozen=True)
-class AddVoters:
+class AddVoters(_Instance):
     system: SystemId
     candidates: frozenset[int]
     distinguished: int
@@ -146,27 +112,13 @@ class AddVoters:
     limit: int
     goal: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
-        _check_goal(self.goal)
-        if self.distinguished not in self.candidates:
-            raise ValueError("distinguished candidate must be a candidate")
-        if not 0 <= self.limit <= len(self.unregistered):
-            raise ValueError("limit must be between 0 and the unregistered pool size")
-        object.__setattr__(self, "registered", _check_ballots(self.registered, self.candidates))
-        object.__setattr__(self, "unregistered", _check_ballots(self.unregistered, self.candidates))
-
     @property
     def ballots(self) -> tuple[Ballot, ...]:
         return self.registered
 
-    @property
-    def type_code(self) -> str:
-        return ("CCAV" if self.goal == CONSTRUCTIVE else "DCAV")
-
 
 @dataclass(frozen=True)
-class DeleteVoters:
+class DeleteVoters(_Instance):
     system: SystemId
     candidates: frozenset[int]
     distinguished: int
@@ -174,40 +126,15 @@ class DeleteVoters:
     limit: int
     goal: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
-        _check_goal(self.goal)
-        if self.distinguished not in self.candidates:
-            raise ValueError("distinguished candidate must be a candidate")
-        if not 0 <= self.limit <= len(self.ballots):
-            raise ValueError("limit must be between 0 and the ballot count")
-        object.__setattr__(self, "ballots", _check_ballots(self.ballots, self.candidates))
-
-    @property
-    def type_code(self) -> str:
-        return ("CCDV" if self.goal == CONSTRUCTIVE else "DCDV")
-
 
 @dataclass(frozen=True)
-class PartitionVoters:
+class PartitionVoters(_Instance):
     system: SystemId
     candidates: frozenset[int]
     distinguished: int
     ballots: tuple[Ballot, ...]
     tie: str
     goal: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
-        _check_goal(self.goal)
-        _check_tie(self.tie)
-        if self.distinguished not in self.candidates:
-            raise ValueError("distinguished candidate must be a candidate")
-        object.__setattr__(self, "ballots", _check_ballots(self.ballots, self.candidates))
-
-    @property
-    def type_code(self) -> str:
-        return ("CCPV" if self.goal == CONSTRUCTIVE else "DCPV")
 
 
 ControlInstance = Union[
@@ -280,7 +207,10 @@ ControlAction = Union[
 ]
 
 
-# --- outcome evaluation ----------------------------------------------------
+# --- final elections, one per shape ----------------------------------------
+#
+# Each checks the action against the instance's bounds, raising
+# BoundViolation, and returns the winner set of the election it leads to.
 
 
 def _survivors(evaluate: Evaluator, tie: str, cands: frozenset[int],
@@ -295,6 +225,182 @@ def _restricted(ballots: Sequence[Ballot], keep: frozenset[int]) -> tuple[Ballot
     return tuple(restrict(b, keep) for b in ballots)
 
 
+def _add_candidates(instance, action, evaluate):
+    if not action.added <= instance.spoilers:
+        raise BoundViolation("can only add spoiler candidates")
+    final = instance.qualified | action.added
+    return evaluate(final, _restricted(instance.ballots, final))
+
+
+def _delete_candidates(instance, action, evaluate):
+    if not action.deleted <= instance.candidates:
+        raise BoundViolation("can only delete existing candidates")
+    if len(action.deleted) > instance.limit:
+        raise BoundViolation(f"deleted {len(action.deleted)} > limit {instance.limit}")
+    if instance.goal == DESTRUCTIVE and instance.distinguished in action.deleted:
+        raise BoundViolation("destructive control may not delete the distinguished candidate")
+    final = instance.candidates - action.deleted
+    return evaluate(final, _restricted(instance.ballots, final))
+
+
+def _side1_survivors(instance, action, evaluate):
+    if action.side1 | action.side2 != instance.candidates:
+        raise BoundViolation("partition sides must cover the candidate set")
+    return _survivors(evaluate, instance.tie, action.side1,
+                      _restricted(instance.ballots, action.side1))
+
+
+def _partition_candidates(instance, action, evaluate):
+    final = _side1_survivors(instance, action, evaluate) | action.side2
+    return evaluate(final, _restricted(instance.ballots, final))
+
+
+def _runoff_partition_candidates(instance, action, evaluate):
+    s1 = _side1_survivors(instance, action, evaluate)
+    s2 = _survivors(evaluate, instance.tie, action.side2,
+                    _restricted(instance.ballots, action.side2))
+    final = s1 | s2
+    return evaluate(final, _restricted(instance.ballots, final))
+
+
+def _add_voters(instance, action, evaluate):
+    if not all(0 <= i < len(instance.unregistered) for i in action.added):
+        raise BoundViolation("added voter index out of range")
+    if len(action.added) > instance.limit:
+        raise BoundViolation(f"added {len(action.added)} > limit {instance.limit}")
+    ballots = instance.registered + tuple(
+        instance.unregistered[i] for i in sorted(action.added))
+    return evaluate(instance.candidates, ballots)
+
+
+def _delete_voters(instance, action, evaluate):
+    if not all(0 <= i < len(instance.ballots) for i in action.deleted):
+        raise BoundViolation("deleted voter index out of range")
+    if len(action.deleted) > instance.limit:
+        raise BoundViolation(f"deleted {len(action.deleted)} > limit {instance.limit}")
+    ballots = tuple(b for i, b in enumerate(instance.ballots)
+                    if i not in action.deleted)
+    return evaluate(instance.candidates, ballots)
+
+
+def _partition_voters(instance, action, evaluate):
+    if not all(0 <= i < len(instance.ballots) for i in action.side1):
+        raise BoundViolation("partition voter index out of range")
+    v1 = tuple(b for i, b in enumerate(instance.ballots) if i in action.side1)
+    v2 = tuple(b for i, b in enumerate(instance.ballots) if i not in action.side1)
+    s1 = _survivors(evaluate, instance.tie, instance.candidates, v1)
+    s2 = _survivors(evaluate, instance.tie, instance.candidates, v2)
+    final = s1 | s2
+    return evaluate(final, _restricted(instance.ballots, final))
+
+
+# --- canonical action enumerations, one per shape --------------------------
+#
+# Each returns the number of legal actions, for the budget check, and an
+# iterator over them in canonical order: subsets by size then
+# lexicographically, partitions by binary mask, ascending.
+
+
+def _subsets(make: type, pool: Sequence[int], max_size: int) -> tuple[int, Iterator]:
+    """Actions ``make(subset)`` over the subsets of a sorted pool."""
+    sizes = range(min(max_size, len(pool)) + 1)
+    return (sum(comb(len(pool), s) for s in sizes),
+            (make(frozenset(combo)) for s in sizes for combo in combinations(pool, s)))
+
+
+def _sides(order: Sequence[int]) -> tuple[int, Iterator[frozenset[int]]]:
+    """Side-1 sets by ascending mask, bit j standing for ``order[j]``."""
+    m = len(order)
+    return 2 ** m, (frozenset(order[j] for j in range(m) if mask >> j & 1)
+                    for mask in range(2 ** m))
+
+
+def _add_sets(instance):
+    return _subsets(AddSet, sorted(instance.spoilers), len(instance.spoilers))
+
+
+def _delete_sets(instance):
+    pool = sorted(instance.candidates)
+    if instance.goal == DESTRUCTIVE:
+        pool.remove(instance.distinguished)
+    return _subsets(DeleteSet, pool, instance.limit)
+
+
+def _candidate_partitions(instance):
+    every = instance.candidates
+    count, sides = _sides(sorted(every))
+    return count, (CandidatePartition(side1, every - side1) for side1 in sides)
+
+
+def _add_voter_sets(instance):
+    return _subsets(AddVoterSet, range(len(instance.unregistered)), instance.limit)
+
+
+def _delete_voter_sets(instance):
+    return _subsets(DeleteVoterSet, range(len(instance.ballots)), instance.limit)
+
+
+def _voter_partitions(instance):
+    count, sides = _sides(range(len(instance.ballots)))
+    return count, map(VoterPartition, sides)
+
+
+# --- the shape table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Shape:
+    """One of the seven structural attack shapes: its instance and action
+    classes, the fields that hold candidate sets and ballots, whether it has
+    a limit k and a tie model, its canonical action enumeration and the final
+    election it runs.  Validation, ``outcome``, the text format, renaming
+    and the solvers all read these entries."""
+
+    code: str
+    instance: type
+    action: type
+    sets: tuple[str, ...]      # candidate-set fields; the first holds the distinguished
+    profiles: tuple[str, ...]  # ballot-list fields, all over the union of the sets
+    has_k: bool
+    has_tie: bool
+    k_cap: str | None          # the field whose length bounds k, if any
+    actions: Callable          # instance -> (count, canonical action iterator)
+    final: Callable            # (instance, action, evaluate) -> final winner set
+
+
+SPECS: dict[str, Shape] = {s.code: s for s in (
+    Shape("AC", AddCandidates, AddSet, ("qualified", "spoilers"), ("ballots",),
+          False, False, None, _add_sets, _add_candidates),
+    Shape("DC", DeleteCandidates, DeleteSet, ("candidates",), ("ballots",),
+          True, False, None, _delete_sets, _delete_candidates),
+    Shape("PC", PartitionCandidates, CandidatePartition, ("candidates",), ("ballots",),
+          False, True, None, _candidate_partitions, _partition_candidates),
+    Shape("RPC", RunoffPartitionCandidates, CandidatePartition, ("candidates",),
+          ("ballots",), False, True, None, _candidate_partitions,
+          _runoff_partition_candidates),
+    Shape("AV", AddVoters, AddVoterSet, ("candidates",), ("registered", "unregistered"),
+          True, False, "unregistered", _add_voter_sets, _add_voters),
+    Shape("DV", DeleteVoters, DeleteVoterSet, ("candidates",), ("ballots",),
+          True, False, "ballots", _delete_voter_sets, _delete_voters),
+    Shape("PV", PartitionVoters, VoterPartition, ("candidates",), ("ballots",),
+          False, True, None, _voter_partitions, _partition_voters),
+)}
+SHAPES = tuple(SPECS)
+SHAPE_OF: dict[type, Shape] = {s.instance: s for s in SPECS.values()}
+ALL_TYPE_CODES = tuple(g + s for g in ("CC", "DC") for s in SHAPES)
+
+
+def shape_of(instance: ControlInstance) -> Shape:
+    """The table entry for a control instance's class."""
+    try:
+        return SHAPE_OF[type(instance)]
+    except KeyError:
+        raise ShapeMismatch(f"unknown instance type {type(instance).__name__}") from None
+
+
+# --- outcome evaluation ----------------------------------------------------
+
+
 def outcome(instance: ControlInstance, action: ControlAction,
             evaluate: Evaluator | None = None) -> frozenset[int]:
     """Winner set after the chair applies ``action`` to ``instance``.
@@ -302,80 +408,14 @@ def outcome(instance: ControlInstance, action: ControlAction,
     ``evaluate`` may override the winner function (e.g. with a memoizing
     wrapper); it must agree with the instance's system.
     """
+    shape = shape_of(instance)
+    if type(action) is not shape.action:
+        raise ShapeMismatch(
+            f"{type(action).__name__} does not fit {type(instance).__name__}")
     if evaluate is None:
         sid = instance.system
         evaluate = lambda cands, ballots: raw_winners(sid, cands, ballots)
-
-    if isinstance(instance, AddCandidates):
-        if not isinstance(action, AddSet):
-            raise ShapeMismatch(f"{type(action).__name__} does not fit AddCandidates")
-        if not action.added <= instance.spoilers:
-            raise BoundViolation("can only add spoiler candidates")
-        final = instance.qualified | action.added
-        return evaluate(final, _restricted(instance.ballots, final))
-
-    if isinstance(instance, DeleteCandidates):
-        if not isinstance(action, DeleteSet):
-            raise ShapeMismatch(f"{type(action).__name__} does not fit DeleteCandidates")
-        if not action.deleted <= instance.candidates:
-            raise BoundViolation("can only delete existing candidates")
-        if len(action.deleted) > instance.limit:
-            raise BoundViolation(f"deleted {len(action.deleted)} > limit {instance.limit}")
-        if instance.goal == DESTRUCTIVE and instance.distinguished in action.deleted:
-            raise BoundViolation("destructive control may not delete the distinguished candidate")
-        final = instance.candidates - action.deleted
-        return evaluate(final, _restricted(instance.ballots, final))
-
-    if isinstance(instance, (PartitionCandidates, RunoffPartitionCandidates)):
-        if not isinstance(action, CandidatePartition):
-            raise ShapeMismatch(f"{type(action).__name__} does not fit a candidate partition")
-        if action.side1 | action.side2 != instance.candidates:
-            raise BoundViolation("partition sides must cover the candidate set")
-        s1 = _survivors(evaluate, instance.tie, action.side1,
-                        _restricted(instance.ballots, action.side1))
-        if isinstance(instance, RunoffPartitionCandidates):
-            s2 = _survivors(evaluate, instance.tie, action.side2,
-                            _restricted(instance.ballots, action.side2))
-            final = s1 | s2
-        else:
-            final = s1 | action.side2
-        return evaluate(final, _restricted(instance.ballots, final))
-
-    if isinstance(instance, AddVoters):
-        if not isinstance(action, AddVoterSet):
-            raise ShapeMismatch(f"{type(action).__name__} does not fit AddVoters")
-        if not all(0 <= i < len(instance.unregistered) for i in action.added):
-            raise BoundViolation("added voter index out of range")
-        if len(action.added) > instance.limit:
-            raise BoundViolation(f"added {len(action.added)} > limit {instance.limit}")
-        ballots = instance.registered + tuple(
-            instance.unregistered[i] for i in sorted(action.added))
-        return evaluate(instance.candidates, ballots)
-
-    if isinstance(instance, DeleteVoters):
-        if not isinstance(action, DeleteVoterSet):
-            raise ShapeMismatch(f"{type(action).__name__} does not fit DeleteVoters")
-        if not all(0 <= i < len(instance.ballots) for i in action.deleted):
-            raise BoundViolation("deleted voter index out of range")
-        if len(action.deleted) > instance.limit:
-            raise BoundViolation(f"deleted {len(action.deleted)} > limit {instance.limit}")
-        ballots = tuple(b for i, b in enumerate(instance.ballots)
-                        if i not in action.deleted)
-        return evaluate(instance.candidates, ballots)
-
-    if isinstance(instance, PartitionVoters):
-        if not isinstance(action, VoterPartition):
-            raise ShapeMismatch(f"{type(action).__name__} does not fit PartitionVoters")
-        if not all(0 <= i < len(instance.ballots) for i in action.side1):
-            raise BoundViolation("partition voter index out of range")
-        v1 = tuple(b for i, b in enumerate(instance.ballots) if i in action.side1)
-        v2 = tuple(b for i, b in enumerate(instance.ballots) if i not in action.side1)
-        s1 = _survivors(evaluate, instance.tie, instance.candidates, v1)
-        s2 = _survivors(evaluate, instance.tie, instance.candidates, v2)
-        final = s1 | s2
-        return evaluate(final, _restricted(instance.ballots, final))
-
-    raise ShapeMismatch(f"unknown instance type {type(instance).__name__}")
+    return shape.final(instance, action, evaluate)
 
 
 def goal_met(instance: ControlInstance, action: ControlAction,
@@ -391,43 +431,25 @@ def with_goal(instance: ControlInstance, goal: str) -> ControlInstance:
 
 # --- text format -----------------------------------------------------------
 
-_TYPE_CODES = {
-    "AC": (AddCandidates,), "DC": (DeleteCandidates,), "PC": (PartitionCandidates,),
-    "RPC": (RunoffPartitionCandidates,), "AV": (AddVoters,), "DV": (DeleteVoters,),
-    "PV": (PartitionVoters,),
+# the directive that carries each candidate-set and ballot-list field
+_DIRECTIVE = {
+    "qualified": "candidates", "candidates": "candidates", "spoilers": "spoilers",
+    "ballots": "ballot", "registered": "ballot", "unregistered": "unregistered-ballot",
 }
-
-ALL_TYPE_CODES = tuple(
-    f"{g}{s}" for g in ("CC", "DC") for s in ("AC", "DC", "PC", "RPC", "AV", "DV", "PV"))
 
 
 def parse_instance(text: str) -> ControlInstance:
     """Parse the line-based control-instance format."""
     fields: dict[str, str] = {}
-    ballots: list[Ballot] = []
-    unregistered: list[Ballot] = []
-    candidates: list[int] = []
-    spoilers: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lists: dict[str, list] = {
+        "candidates": [], "spoilers": [], "ballot": [], "unregistered-ballot": []}
+    for lineno, line in _content_lines(text):
         key, _, body = line.partition(" ")
         body = body.strip()
-        if key == "ballot":
-            ballots.append(parse_ballot_line(body, lineno))
-        elif key == "unregistered-ballot":
-            unregistered.append(parse_ballot_line(body, lineno))
-        elif key == "candidates":
-            try:
-                candidates = [int(t) for t in body.split()]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad candidate ids") from exc
-        elif key == "spoilers":
-            try:
-                spoilers = [int(t) for t in body.split()]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad spoiler ids") from exc
+        if key in ("ballot", "unregistered-ballot"):
+            lists[key].append(parse_ballot_line(body, lineno))
+        elif key in ("candidates", "spoilers"):
+            lists[key] = _parse_ids(body.split(), lineno)
         elif key in ("type", "system", "distinguished", "k", "tie"):
             fields[key] = body
         else:
@@ -439,71 +461,46 @@ def parse_instance(text: str) -> ControlInstance:
     code = fields["type"].upper()
     if code not in ALL_TYPE_CODES:
         raise ParseError(f"unknown control type {code!r}")
-    goal = CONSTRUCTIVE if code.startswith("CC") else DESTRUCTIVE
-    shape = code[2:]
+    shape = SPECS[code[2:]]
     system = parse_system(fields["system"])
     try:
         distinguished = int(fields["distinguished"])
     except ValueError as exc:
         raise ParseError("bad distinguished candidate id") from exc
-    tie = fields.get("tie", TE).upper()
+    # the instance freezes the candidate sets and the ballot lists
+    args = {name: lists[_DIRECTIVE[name]] for name in shape.sets + shape.profiles}
     if "k" in fields:
         try:
             limit = int(fields["k"])
         except ValueError as exc:
             raise ParseError("bad limit k") from exc
-    else:
-        limit = None
-
+        if shape.has_k:
+            args["limit"] = limit
+    elif shape.has_k:
+        raise ParseError(f"{shape.code} instances need a 'k' line")
+    if shape.has_tie:
+        args["tie"] = fields.get("tie", TE).upper()
+    goal = CONSTRUCTIVE if code.startswith("CC") else DESTRUCTIVE
     try:
-        if shape == "AC":
-            return AddCandidates(system, frozenset(candidates), frozenset(spoilers),
-                                 distinguished, tuple(ballots), goal)
-        if shape == "DC":
-            if limit is None:
-                raise ParseError("DC instances need a 'k' line")
-            return DeleteCandidates(system, frozenset(candidates), distinguished,
-                                    tuple(ballots), limit, goal)
-        if shape == "PC":
-            return PartitionCandidates(system, frozenset(candidates), distinguished,
-                                       tuple(ballots), tie, goal)
-        if shape == "RPC":
-            return RunoffPartitionCandidates(system, frozenset(candidates), distinguished,
-                                             tuple(ballots), tie, goal)
-        if shape == "AV":
-            if limit is None:
-                raise ParseError("AV instances need a 'k' line")
-            return AddVoters(system, frozenset(candidates), distinguished,
-                             tuple(ballots), tuple(unregistered), limit, goal)
-        if shape == "DV":
-            if limit is None:
-                raise ParseError("DV instances need a 'k' line")
-            return DeleteVoters(system, frozenset(candidates), distinguished,
-                                tuple(ballots), limit, goal)
-        if shape == "PV":
-            return PartitionVoters(system, frozenset(candidates), distinguished,
-                                   tuple(ballots), tie, goal)
+        return shape.instance(system=system, distinguished=distinguished,
+                              goal=goal, **args)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown control type {code!r}")
 
 
 def format_instance(instance: ControlInstance) -> str:
+    shape = shape_of(instance)
     lines = [f"type {instance.type_code}",
              f"system {format_system(instance.system)}",
              f"distinguished {instance.distinguished}"]
-    if isinstance(instance, (DeleteCandidates, AddVoters, DeleteVoters)):
+    if shape.has_k:
         lines.append(f"k {instance.limit}")
-    if isinstance(instance, (PartitionCandidates, RunoffPartitionCandidates, PartitionVoters)):
+    if shape.has_tie:
         lines.append(f"tie {instance.tie}")
-    if isinstance(instance, AddCandidates):
-        lines.append("candidates " + " ".join(map(str, sorted(instance.qualified))))
-        lines.append("spoilers " + " ".join(map(str, sorted(instance.spoilers))))
-    else:
-        lines.append("candidates " + " ".join(map(str, sorted(instance.candidates))))
-    for b in instance.ballots:
-        lines.append("ballot " + format_ballot(b))
-    if isinstance(instance, AddVoters):
-        for b in instance.unregistered:
-            lines.append("unregistered-ballot " + format_ballot(b))
+    for name in shape.sets:
+        lines.append(f"{_DIRECTIVE[name]} "
+                     + " ".join(map(str, sorted(getattr(instance, name)))))
+    for name in shape.profiles:
+        lines.extend(f"{_DIRECTIVE[name]} {format_ballot(b)}"
+                     for b in getattr(instance, name))
     return "\n".join(lines) + "\n"

@@ -33,6 +33,16 @@ def unique_winner(winners: Iterable[int], c: int) -> bool:
     return len(ws) == 1 and c in ws
 
 
+def check_ballots(ballots: Iterable[Sequence[int]],
+                  universe: frozenset[int]) -> tuple[Ballot, ...]:
+    """The ballots as tuples; raises ValueError unless each ranks ``universe``."""
+    out = tuple(map(tuple, ballots))
+    for b in out:
+        if len(b) != len(universe) or frozenset(b) != universe:
+            raise ValueError(f"ballot {b} is not a permutation of {sorted(universe)}")
+    return out
+
+
 @dataclass(frozen=True)
 class Election:
     """A candidate set together with an ordered list of complete ballots."""
@@ -42,12 +52,8 @@ class Election:
 
     def __init__(self, candidates: Iterable[int], ballots: Iterable[Sequence[int]]):
         cands = frozenset(candidates)
-        blts = tuple(tuple(b) for b in ballots)
-        for b in blts:
-            if len(b) != len(cands) or frozenset(b) != cands:
-                raise ValueError(f"ballot {b} is not a permutation of {sorted(cands)}")
         object.__setattr__(self, "candidates", cands)
-        object.__setattr__(self, "ballots", blts)
+        object.__setattr__(self, "ballots", check_ballots(ballots, cands))
 
     def restricted(self, subset: Iterable[int]) -> "Election":
         """The election over ``candidates ∩ subset`` with projected ballots."""
@@ -104,17 +110,16 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def _parse_ids(tokens: list[str], lineno: int) -> list[int]:
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError as exc:
-        raise ParseError(f"line {lineno}: expected candidate ids, got {tokens}") from exc
+        raise ParseError(f"line {lineno}: expected integer ids, got {tokens}") from exc
 
 
 def parse_ballot_line(body: str, lineno: int = 0) -> Ballot:
     """Parse the ``<id> > <id> > ...`` tail of a ballot line."""
-    parts = [p.strip() for p in body.split(">")] if body.strip() else []
-    if parts == [""]:
-        parts = []
-    return tuple(_parse_ids(parts, lineno))
+    if not body.strip():
+        return ()
+    return tuple(_parse_ids(body.split(">"), lineno))  # int() skips the spaces
 
 
 def parse_election(text: str) -> Election:
@@ -142,7 +147,7 @@ def parse_election(text: str) -> Election:
 
 
 def format_ballot(ballot: Sequence[int]) -> str:
-    return " > ".join(str(c) for c in ballot)
+    return " > ".join(map(str, ballot))
 
 
 def format_election(e: Election) -> str:

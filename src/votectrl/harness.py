@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .control import (
-    AddCandidates, AddSet, AddVoters, CandidatePartition, ControlInstance,
-    DeleteCandidates, DeleteSet, DeleteVoters, PartitionCandidates,
-    PartitionVoters, RunoffPartitionCandidates,
-    CONSTRUCTIVE, DESTRUCTIVE, TE, TP, goal_met, outcome,
+    AddCandidates, AddSet, CandidatePartition, ControlInstance,
+    DeleteCandidates, DeleteSet, PartitionCandidates, RunoffPartitionCandidates,
+    CONSTRUCTIVE, DESTRUCTIVE, SHAPES, SPECS, TE, TP, goal_met, outcome, shape_of,
 )
 from .core import Election, unique_winner
 from .errors import NonInjectiveMap, PreconditionFailed, ReplayMismatch
@@ -69,22 +68,11 @@ def embed_rename(obj, m: RenamingMap):
     """Rename every candidate id of an Election or ControlInstance."""
     if isinstance(obj, Election):
         return Election(_rename_set(obj.candidates, m), _rename_ballots(obj.ballots, m))
-    if isinstance(obj, AddCandidates):
-        return replace(obj, qualified=_rename_set(obj.qualified, m),
-                       spoilers=_rename_set(obj.spoilers, m),
-                       distinguished=m.apply(obj.distinguished),
-                       ballots=_rename_ballots(obj.ballots, m))
-    if isinstance(obj, AddVoters):
-        return replace(obj, candidates=_rename_set(obj.candidates, m),
-                       distinguished=m.apply(obj.distinguished),
-                       registered=_rename_ballots(obj.registered, m),
-                       unregistered=_rename_ballots(obj.unregistered, m))
-    if isinstance(obj, (DeleteCandidates, PartitionCandidates,
-                        RunoffPartitionCandidates, DeleteVoters, PartitionVoters)):
-        return replace(obj, candidates=_rename_set(obj.candidates, m),
-                       distinguished=m.apply(obj.distinguished),
-                       ballots=_rename_ballots(obj.ballots, m))
-    raise TypeError(f"cannot rename {type(obj).__name__}")
+    shape = shape_of(obj)
+    renamed = {name: _rename_set(getattr(obj, name), m) for name in shape.sets}
+    renamed.update((name, _rename_ballots(getattr(obj, name), m))
+                   for name in shape.profiles)
+    return replace(obj, distinguished=m.apply(obj.distinguished), **renamed)
 
 
 @dataclass(frozen=True)
@@ -216,46 +204,41 @@ def dcdc_to_ccac(instance: DeleteCandidates, action: DeleteSet
     return dual, AddSet(action.deleted)
 
 
-_SHAPES = ("AC", "DC", "PC", "RPC", "AV", "DV", "PV")
-
-
 def random_instance(rng: random.Random, shape: str, goal: str, system: SystemId,
                     tie: str = TE, max_candidates: int = 4, max_voters: int = 5,
                     id_pool: int = 9) -> ControlInstance:
-    """A seeded random control instance of the given shape and goal."""
-    if shape not in _SHAPES:
-        raise ValueError(f"shape must be one of {_SHAPES}")
+    """A seeded random control instance of the given shape and goal.
+
+    Every ballot list gets up to ``max_voters`` ballots.  With two candidate
+    sets (AC), each candidate other than the distinguished one is qualified
+    with probability 1/2.  A limit k is drawn up to the size of what it
+    counts, or up to the candidate count when uncapped.
+    """
+    if shape not in SPECS:
+        raise ValueError(f"shape must be one of {SHAPES}")
+    spec = SPECS[shape]
     m = rng.randint(1, max_candidates)
     ids = rng.sample(range(id_pool), m)
     cands = frozenset(ids)
     c = rng.choice(ids)
-
-    def ballots(count: int, over=cands) -> tuple:
-        out = []
-        pool = list(over)
-        for _ in range(count):
-            rng.shuffle(pool)
-            out.append(tuple(pool))
-        return tuple(out)
-
-    v = rng.randint(0, max_voters)
-    if shape == "AC":
+    sizes = [rng.randint(0, max_voters) for _ in spec.profiles]
+    if len(spec.sets) == 2:
         qualified = frozenset(x for x in ids if x == c or rng.random() < 0.5)
-        return AddCandidates(system, qualified, cands - qualified, c,
-                             ballots(v), goal)
-    if shape == "DC":
-        return DeleteCandidates(system, cands, c, ballots(v), rng.randint(0, m), goal)
-    if shape == "PC":
-        return PartitionCandidates(system, cands, c, ballots(v), tie, goal)
-    if shape == "RPC":
-        return RunoffPartitionCandidates(system, cands, c, ballots(v), tie, goal)
-    if shape == "AV":
-        w = rng.randint(0, max_voters)
-        return AddVoters(system, cands, c, ballots(v), ballots(w),
-                         rng.randint(0, w), goal)
-    if shape == "DV":
-        return DeleteVoters(system, cands, c, ballots(v), rng.randint(0, v), goal)
-    return PartitionVoters(system, cands, c, ballots(v), tie, goal)
+        fields = dict(zip(spec.sets, (qualified, cands - qualified)))
+    else:
+        fields = {spec.sets[0]: cands}
+    for name, size in zip(spec.profiles, sizes):
+        pool = list(cands)
+        ballots = []
+        for _ in range(size):
+            rng.shuffle(pool)
+            ballots.append(tuple(pool))
+        fields[name] = tuple(ballots)
+    if spec.has_k:
+        fields["limit"] = rng.randint(0, len(fields[spec.k_cap]) if spec.k_cap else m)
+    if spec.has_tie:
+        fields["tie"] = tie
+    return spec.instance(system=system, distinguished=c, goal=goal, **fields)
 
 
 @dataclass(frozen=True)

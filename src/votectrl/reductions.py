@@ -15,11 +15,10 @@ from itertools import combinations
 from typing import Iterable
 
 from .control import (
-    AddVoters, ControlInstance, DeleteCandidates, DeleteVoters,
-    PartitionCandidates, PartitionVoters, RunoffPartitionCandidates,
-    CONSTRUCTIVE, DESTRUCTIVE, TE,
+    AddVoters, ControlInstance, DeleteCandidates, DeleteVoters, PartitionVoters,
+    CONSTRUCTIVE, DESTRUCTIVE, SPECS, TE,
 )
-from .core import Ballot
+from .core import Ballot, _content_lines, _parse_ids
 from .errors import (
     BudgetExceeded, InvariantViolation, ParityViolation, ParseError, TooManyEdges,
 )
@@ -89,12 +88,7 @@ def _covers(vertex_subset: frozenset[int], edges: frozenset[frozenset[int]]) -> 
 
 def vc_oracle(g: GraphInstance, k: int) -> bool:
     """Does the graph have a vertex cover of size at most k?"""
-    if len(g.vertices) > 16:
-        raise BudgetExceeded("vertex-cover oracle limited to 16 vertices")
-    vs = sorted(g.vertices)
-    return any(_covers(frozenset(combo), g.edges)
-               for size in range(min(k, len(vs)) + 1)
-               for combo in combinations(vs, size))
+    return any(vc_exact_oracle(g, size) for size in range(min(k, len(g.vertices)) + 1))
 
 
 def vc_exact_oracle(g: GraphInstance, size: int) -> bool:
@@ -226,15 +220,12 @@ def reduce_half_vc(g: GraphInstance, target: str) -> ControlInstance:
     ballots = (first,) + tuple(edge_ballots)
     ballots += (first,) * (total - len(ballots))
 
-    if target == "CCRPC":
-        return RunoffPartitionCandidates(system, cands, 0, ballots, TE, CONSTRUCTIVE)
-    if target == "CCPC":
-        return PartitionCandidates(system, cands, 0, ballots, TE, CONSTRUCTIVE)
-    if target == "DCDC":
-        return DeleteCandidates(system, cands, 0, ballots, n // 2, DESTRUCTIVE)
-    if target == "DCPC":
-        return PartitionCandidates(system, cands, 0, ballots, TE, DESTRUCTIVE)
-    return RunoffPartitionCandidates(system, cands, 0, ballots, TE, DESTRUCTIVE)
+    # DCDC may delete n/2 candidates; the partition targets use TE
+    shape = SPECS[target[2:]]
+    bound = {"limit": n // 2} if shape.has_k else {"tie": TE}
+    goal = CONSTRUCTIVE if target.startswith("CC") else DESTRUCTIVE
+    return shape.instance(system=system, candidates=cands, distinguished=0,
+                          ballots=ballots, goal=goal, **bound)
 
 
 @dataclass(frozen=True)
@@ -252,10 +243,10 @@ def source_answer(source, target: ControlInstance) -> bool:
     if isinstance(source, X3CInstance):
         return x3c_oracle(source)
     if isinstance(source, GraphInstance):
-        if isinstance(target, DeleteCandidates) and target.goal == CONSTRUCTIVE:
+        if target.type_code == "CCDC":
             return vc_oracle(source, target.limit)
         n = len(source.vertices)
-        if isinstance(target, RunoffPartitionCandidates) and target.goal == CONSTRUCTIVE:
+        if target.type_code == "CCRPC":
             return odd_half_vc_oracle(source) if n % 2 else even_half_vc_oracle(source)
         return even_half_vc_oracle(source)
     raise InvariantViolation(f"unknown source instance {type(source).__name__}")
@@ -277,15 +268,9 @@ def parse_x3c(text: str) -> X3CInstance:
     base: list[int] = []
     family: list[list[int]] = []
     saw_base = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         key, *tokens = line.split()
-        try:
-            ids = [int(t) for t in tokens]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: expected integers") from exc
+        ids = _parse_ids(tokens, lineno)
         if key == "base":
             base, saw_base = ids, True
         elif key == "set":
@@ -315,15 +300,9 @@ def parse_graph(text: str) -> GraphInstance:
     vertices: list[int] = []
     edges: list[list[int]] = []
     saw_vertices = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         key, *tokens = line.split()
-        try:
-            ids = [int(t) for t in tokens]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: expected integers") from exc
+        ids = _parse_ids(tokens, lineno)
         if key == "vertices":
             vertices = list(range(1, ids[0] + 1)) if len(ids) == 1 else ids
             saw_vertices = True

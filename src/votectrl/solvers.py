@@ -12,19 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from math import comb
 from typing import Callable, Mapping
 
 from .control import (
-    AddCandidates, AddVoters, AddVoterSet, AddSet, CandidatePartition,
-    ControlAction, ControlInstance, DeleteCandidates, DeleteSet, DeleteVoters,
-    DeleteVoterSet, PartitionCandidates, PartitionVoters,
-    RunoffPartitionCandidates, VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, TE,
-    goal_met, outcome,
+    AddCandidates, AddSet, AddVoters, CandidatePartition, ControlAction,
+    ControlInstance, DeleteCandidates, DeleteSet, DeleteVoters,
+    PartitionCandidates, PartitionVoters, RunoffPartitionCandidates,
+    VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, TE, goal_met, shape_of,
 )
 from .core import restrict, unique_winner
 from .errors import BudgetExceeded, NoDeciderRegistered, WrongSystem
-from .systems import COUNTED_WINNERS, SystemId, raw_winners, route
+from .systems import COUNTED_WINNERS, SystemId, _triangular_roots, raw_winners, route
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -49,24 +47,6 @@ class CachedEvaluator:
             hit = raw_winners(self.system, cands, ballots)
             self._cache[key] = hit
         return hit
-
-
-def _subsets(pool: list[int], max_size: int):
-    """Subsets of a sorted pool, by size then lexicographically, as frozensets."""
-    for size in range(max_size + 1):
-        for combo in combinations(pool, size):
-            yield frozenset(combo)
-
-
-def _subset_count(n: int, max_size: int) -> int:
-    return sum(comb(n, s) for s in range(min(n, max_size) + 1))
-
-
-def _decide_by_enumeration(instance: ControlInstance, actions, evaluate) -> Decision:
-    for action in actions:
-        if goal_met(instance, action, evaluate):
-            return Decision(True, action)
-    return Decision(False, None)
 
 
 def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
@@ -149,91 +129,54 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
 
 def brute_force_decide(instance: ControlInstance,
                        budget: int = DEFAULT_BUDGET) -> Decision:
-    """Exhaustively search all legal chair actions for the instance's goal."""
+    """Exhaustively search all legal chair actions for the instance's goal.
+
+    Voter partitions on a voter-anonymous system take the count-class search
+    instead of the mask enumeration; both give the same canonical witness.
+    """
     evaluate = CachedEvaluator(instance.system)
-
-    if isinstance(instance, AddCandidates):
-        pool = sorted(instance.spoilers)
-        if 2 ** len(pool) > budget:
-            raise BudgetExceeded(f"2^{len(pool)} add-sets exceed budget {budget}")
-        actions = (AddSet(s) for s in _subsets(pool, len(pool)))
-        return _decide_by_enumeration(instance, actions, evaluate)
-
-    if isinstance(instance, DeleteCandidates):
-        pool = sorted(instance.candidates)
-        if instance.goal == DESTRUCTIVE:
-            pool.remove(instance.distinguished)
-        k = min(instance.limit, len(pool))
-        if _subset_count(len(pool), k) > budget:
-            raise BudgetExceeded(f"delete-sets exceed budget {budget}")
-        actions = (DeleteSet(s) for s in _subsets(pool, k))
-        return _decide_by_enumeration(instance, actions, evaluate)
-
-    if isinstance(instance, (PartitionCandidates, RunoffPartitionCandidates)):
-        order = sorted(instance.candidates)
-        m = len(order)
-        if 2 ** m > budget:
-            raise BudgetExceeded(f"2^{m} candidate partitions exceed budget {budget}")
-        every = frozenset(order)
-        actions = (
-            CandidatePartition(
-                side1 := frozenset(order[j] for j in range(m) if mask >> j & 1),
-                every - side1)
-            for mask in range(2 ** m))
-        return _decide_by_enumeration(instance, actions, evaluate)
-
-    if isinstance(instance, AddVoters):
-        pool = list(range(len(instance.unregistered)))
-        if _subset_count(len(pool), instance.limit) > budget:
-            raise BudgetExceeded(f"add-voter sets exceed budget {budget}")
-        actions = (AddVoterSet(s) for s in _subsets(pool, instance.limit))
-        return _decide_by_enumeration(instance, actions, evaluate)
-
-    if isinstance(instance, DeleteVoters):
-        pool = list(range(len(instance.ballots)))
-        if _subset_count(len(pool), instance.limit) > budget:
-            raise BudgetExceeded(f"delete-voter sets exceed budget {budget}")
-        actions = (DeleteVoterSet(s) for s in _subsets(pool, instance.limit))
-        return _decide_by_enumeration(instance, actions, evaluate)
-
-    if isinstance(instance, PartitionVoters):
-        if instance.system.voter_anonymous:
-            return _partition_voters_anonymous(instance, evaluate, budget)
-        n = len(instance.ballots)
-        if 2 ** n > budget:
-            raise BudgetExceeded(f"2^{n} voter partitions exceed budget {budget}")
-        actions = (
-            VoterPartition(frozenset(i for i in range(n) if mask >> i & 1))
-            for mask in range(2 ** n))
-        return _decide_by_enumeration(instance, actions, evaluate)
-
-    raise WrongSystem(f"no brute-force handler for {type(instance).__name__}")
+    shape = shape_of(instance)
+    if shape.code == "PV" and instance.system.voter_anonymous:
+        return _partition_voters_anonymous(instance, evaluate, budget)
+    count, actions = shape.actions(instance)
+    if count > budget:
+        raise BudgetExceeded(f"{count} {shape.code} actions exceed budget {budget}")
+    for action in actions:
+        if goal_met(instance, action, evaluate):
+            return Decision(True, action)
+    return Decision(False, None)
 
 
 Decider = Callable[[ControlInstance], Decision]
 
 
+def _delegate(deciders: Mapping[SystemId, Decider] | None, system: SystemId,
+              instance: ControlInstance) -> Decision:
+    """Decide ``instance`` under ``system`` with its registered decider, or
+    by brute force when no registry is given."""
+    instance = replace(instance, system=system)
+    if deciders is None:
+        return brute_force_decide(instance)
+    if system not in deciders:
+        raise NoDeciderRegistered(f"no decider for {system}")
+    return deciders[system](instance)
+
+
 def route_and_solve_voters(instance: ControlInstance,
                            deciders: Mapping[SystemId, Decider] | None = None,
                            ) -> Decision:
-    """Voter control on a hybrid: delegate wholesale to the routed constituent.
+    """Adding or deleting voters on a hybrid: delegate to the routed constituent.
 
-    Adding, deleting, or partitioning voters never changes the candidate
-    set, so one constituent handles every election evaluation the instance
-    can produce; its decider decides the hybrid instance outright.
+    Neither changes the candidate set, so one constituent handles every
+    election evaluation the instance can produce; its decider decides the
+    hybrid instance outright.  Partitioning voters is not covered: its final
+    run-off is over the subelection survivors, which can route elsewhere.
     """
-    if not isinstance(instance, (AddVoters, DeleteVoters, PartitionVoters)):
-        raise WrongSystem("route_and_solve_voters handles voter control only")
+    if not isinstance(instance, (AddVoters, DeleteVoters)):
+        raise WrongSystem("route_and_solve_voters handles adding and deleting voters only")
     if not instance.system.is_hybrid:
         raise WrongSystem("instance system must be a hybrid")
-    target = route(instance.system, instance.candidates)
-    if deciders is None:
-        decider: Decider = brute_force_decide
-    else:
-        if target not in deciders:
-            raise NoDeciderRegistered(f"no decider for {target}")
-        decider = deciders[target]
-    return decider(replace(instance, system=target))
+    return _delegate(deciders, route(instance.system, instance.candidates), instance)
 
 
 def ccac_hybrid_poly(instance: AddCandidates,
@@ -255,35 +198,27 @@ def ccac_hybrid_poly(instance: AddCandidates,
     if not sid.is_hybrid:
         raise WrongSystem("instance system must be a hybrid")
 
-    def decide(sub_system: SystemId, sub: AddCandidates) -> Decision:
-        sub = replace(sub, system=sub_system)
-        if deciders is None:
-            return brute_force_decide(sub)
-        if sub_system not in deciders:
-            raise NoDeciderRegistered(f"no decider for {sub_system}")
-        return deciders[sub_system](sub)
-
     k = len(sid.constituents)
     q_residues = {x % k for x in instance.qualified}
     if len(q_residues) > 1:
-        return decide(sid.default_constituent, instance)
+        return _delegate(deciders, sid.default_constituent, instance)
 
     q = q_residues.pop()
     off = sorted(s for s in instance.spoilers if s % k != q)
     if not off:
-        return decide(sid.constituents[q], instance)
+        return _delegate(deciders, sid.constituents[q], instance)
 
     s_q = instance.spoilers - frozenset(off)
     kept = instance.qualified | s_q
-    step1 = decide(
-        sid.constituents[q],
+    step1 = _delegate(
+        deciders, sid.constituents[q],
         replace(instance, spoilers=s_q,
                 ballots=tuple(restrict(b, kept) for b in instance.ballots)))
     if step1.answer:
         return step1
     for d in off:
-        sub = decide(
-            sid.default_constituent,
+        sub = _delegate(
+            deciders, sid.default_constituent,
             replace(instance, qualified=instance.qualified | {d},
                     spoilers=instance.spoilers - {d}))
         if sub.answer:
@@ -294,9 +229,7 @@ def ccac_hybrid_poly(instance: AddCandidates,
 
 def e1_prefix_ccdc_poly(instance: DeleteCandidates) -> Decision:
     """Constructive deleting-candidates for the first-two-voters prefix rule."""
-    if (not isinstance(instance, DeleteCandidates)
-            or instance.system.tag != "e1_prefix"
-            or instance.goal != CONSTRUCTIVE):
+    if instance.type_code != "CCDC" or instance.system.tag != "e1_prefix":
         raise WrongSystem("expects constructive deleting candidates on e1_prefix")
     if len(instance.ballots) < 2:
         return Decision(False, None)
@@ -322,26 +255,15 @@ def e1_prefix_ccdc_poly(instance: DeleteCandidates) -> Decision:
     return Decision(False, None)
 
 
-def _has_triangular_voter_count(v: int, even_only: bool = False) -> bool:
-    n = 0
-    while 1 + n * (n - 1) // 2 <= v:
-        if 1 + n * (n - 1) // 2 == v and (not even_only or n % 2 == 0):
-            return True
-        n += 1
-    return False
-
-
 def e1_tri_ccrpc_poly(instance: RunoffPartitionCandidates) -> Decision:
     """Constructive run-off partition for the triangular-voter-count rule.
 
     If the voter count is not of the form 1 + n(n-1)/2 nobody ever wins;
     otherwise the single partition ({c}, C - {c}) succeeds iff any does.
     """
-    if (not isinstance(instance, RunoffPartitionCandidates)
-            or instance.system.tag != "e1_tri"
-            or instance.goal != CONSTRUCTIVE):
+    if instance.type_code != "CCRPC" or instance.system.tag != "e1_tri":
         raise WrongSystem("expects constructive run-off partition on e1_tri")
-    if not _has_triangular_voter_count(len(instance.ballots)):
+    if not _triangular_roots(len(instance.ballots)):
         return Decision(False, None)
     c = instance.distinguished
     action = CandidatePartition(frozenset({c}), instance.candidates - {c})
@@ -358,13 +280,9 @@ def e1_tri_even_ccpc_poly(instance: PartitionCandidates) -> Decision:
     {1, n/2 + 2}, or c on side 2 with ||side2|| in {1, n/2 + 1, n/2 + 2} --
     can possibly elect c, so only those are enumerated.
     """
-    if (not isinstance(instance, PartitionCandidates)
-            or instance.system.tag != "e1_tri_even"
-            or instance.goal != CONSTRUCTIVE):
+    if instance.type_code != "CCPC" or instance.system.tag != "e1_tri_even":
         raise WrongSystem("expects constructive partition on e1_tri_even")
-    v = len(instance.ballots)
-    roots = [n for n in range(2 * v + 2)
-             if 1 + n * (n - 1) // 2 == v and n % 2 == 0]
+    roots = [n for n in _triangular_roots(len(instance.ballots)) if n % 2 == 0]
     if not roots:
         return Decision(False, None)
     c = instance.distinguished
@@ -404,15 +322,17 @@ def e1_tri_even_ccpc_poly(instance: PartitionCandidates) -> Decision:
 def destructive_poly(instance: ControlInstance) -> Decision:
     """Destructive DC/PC/RPC deciders for the two first-ballot-driven rules."""
     tag = instance.system.tag
-    if tag not in ("e0_dfirst", "e1_second") or instance.goal != DESTRUCTIVE:
-        raise WrongSystem("expects destructive control on e0_dfirst or e1_second")
+    if (tag not in ("e0_dfirst", "e1_second")
+            or instance.type_code not in ("DCDC", "DCPC", "DCRPC")):
+        raise WrongSystem("expects destructive DC, PC or RPC on e0_dfirst or e1_second")
     c = instance.distinguished
     ballots = instance.ballots
     cands = instance.candidates
+    deleting = instance.type_code == "DCDC"
 
     if tag == "e0_dfirst":
         loses_now = not ballots or ballots[0][0] != c
-        if isinstance(instance, DeleteCandidates):
+        if deleting:
             if loses_now:
                 return Decision(True, DeleteSet(frozenset()))
             # one voter who ranks c first: c only loses once it is the sole
@@ -420,16 +340,14 @@ def destructive_poly(instance: ControlInstance) -> Decision:
             if len(ballots) == 1 and instance.limit >= len(cands) - 1:
                 return Decision(True, DeleteSet(cands - {c}))
             return Decision(False, None)
-        if isinstance(instance, (PartitionCandidates, RunoffPartitionCandidates)):
-            if loses_now:
-                return Decision(True, CandidatePartition(frozenset(), cands))
-            if len(ballots) == 1:
-                return Decision(True, CandidatePartition(frozenset({c}), cands - {c}))
-            return Decision(False, None)
-        raise WrongSystem(f"no destructive decider for {type(instance).__name__}")
+        if loses_now:
+            return Decision(True, CandidatePartition(frozenset(), cands))
+        if len(ballots) == 1:
+            return Decision(True, CandidatePartition(frozenset({c}), cands - {c}))
+        return Decision(False, None)
 
     # e1_second
-    if isinstance(instance, DeleteCandidates):
+    if deleting:
         if not ballots or len(ballots[0]) < 2 or ballots[0][1] != c:
             return Decision(True, DeleteSet(frozenset()))
         if (len(ballots) == 4 * len(cands) ** 2
@@ -439,7 +357,31 @@ def destructive_poly(instance: ControlInstance) -> Decision:
             # deleting the first voter's favourite moves c up to first place
             return Decision(True, DeleteSet(frozenset({ballots[0][0]})))
         return Decision(False, None)
-    if isinstance(instance, (PartitionCandidates, RunoffPartitionCandidates)):
-        # alone on a side, c is not ranked second by anyone and is eliminated
-        return Decision(True, CandidatePartition(frozenset({c}), cands - {c}))
-    raise WrongSystem(f"no destructive decider for {type(instance).__name__}")
+    # alone on a side, c is not ranked second by anyone and is eliminated
+    return Decision(True, CandidatePartition(frozenset({c}), cands - {c}))
+
+
+# The polynomial deciders, keyed by (shape code, goal, system tag).  Voter
+# partition on a hybrid has no entry: its final run-off is over the
+# subelection survivors, which can route to another constituent.
+POLY_DECIDERS: dict[tuple[str, str, str], Decider] = {
+    **{(shape, goal, tag): decider
+       for tag in ("hybrid", "hybrid_base")
+       for goal in (CONSTRUCTIVE, DESTRUCTIVE)
+       for shape, decider in (("AC", ccac_hybrid_poly), ("AV", route_and_solve_voters),
+                              ("DV", route_and_solve_voters))},
+    ("DC", CONSTRUCTIVE, "e1_prefix"): e1_prefix_ccdc_poly,
+    ("RPC", CONSTRUCTIVE, "e1_tri"): e1_tri_ccrpc_poly,
+    ("PC", CONSTRUCTIVE, "e1_tri_even"): e1_tri_even_ccpc_poly,
+    **{(shape, DESTRUCTIVE, tag): destructive_poly
+       for tag in ("e0_dfirst", "e1_second") for shape in ("DC", "PC", "RPC")},
+}
+
+
+def poly_decide(instance: ControlInstance) -> Decision:
+    """Dispatch to the polynomial decider covering this instance, if any."""
+    decider = POLY_DECIDERS.get(
+        (shape_of(instance).code, instance.goal, instance.system.tag))
+    if decider is None:
+        raise WrongSystem("no polynomial decider covers this instance; use --solver brute")
+    return decider(instance)

@@ -19,8 +19,9 @@ from votectrl.control import (
 from votectrl.core import Election
 from votectrl.harness import (
     anonymity_falsify, inheritance_check, random_instance,
-    replay_recorded_scenarios, special_construction, _SHAPES,
+    replay_recorded_scenarios, special_construction,
 )
+from votectrl.control import SHAPES as _SHAPES
 from votectrl.reductions import (
     GraphInstance, X3CInstance, reduce_half_vc, reduce_vc_to_ccdc, reduce_x3c,
     source_answer, X3C_TARGETS,

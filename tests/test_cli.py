@@ -220,3 +220,58 @@ def test_poly_decide_dispatch_covers_voter_control_on_hybrids(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", "--instance", str(f), "--solver", "poly")
     assert code == 0
     assert out.startswith("YES")
+
+
+# voter partition on a hybrid: the final run-off over the survivors {0,4}
+# routes to e0_solo, where no subelection split can crown 0
+HYBRID_CCPV = """\
+type CCPV
+system hybrid:e0_solo,e1_prefix
+distinguished 0
+tie TE
+candidates 0 2 4 5 6
+ballot 0 > 6 > 4 > 5 > 2
+ballot 4 > 5 > 2 > 0 > 6
+ballot 4 > 0 > 2 > 6 > 5
+ballot 4 > 6 > 5 > 0 > 2
+ballot 6 > 0 > 2 > 4 > 5
+ballot 0 > 5 > 4 > 2 > 6
+"""
+
+
+def test_poly_decide_does_not_cover_voter_partition_on_hybrids(tmp_path, capsys):
+    f = tmp_path / "i.txt"
+    f.write_text(HYBRID_CCPV)
+    code, out, _ = run(capsys, "decide", "--instance", str(f))
+    assert code == 0
+    assert out.strip() == "NO"
+    code, out, err = run(capsys, "decide", "--instance", str(f), "--solver", "poly")
+    assert code == 2
+    assert out == ""
+    assert "no polynomial decider covers this instance" in err
+
+
+def test_reduce_to_unwritable_path_exits_2(tmp_path, capsys):
+    src = tmp_path / "x3c.txt"
+    src.write_text(X3C_YES)
+    code, _, err = run(capsys, "reduce", "--from", "x3c", "--to", "DCDV",
+                       "--input", str(src),
+                       "--output", str(tmp_path / "missing" / "o.txt"))
+    assert code == 2
+    assert "cannot write" in err
+
+
+def test_anonymity_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "anonymity", "--system", "plurality",
+                         "--trials", "-3")
+    assert code == 2
+    assert "no violation" not in out
+    assert "--trials" in err
+
+
+@pytest.mark.parametrize("suite", ["inheritance", "agreement"])
+def test_suite_rejects_negative_trials(capsys, suite):
+    code, out, err = run(capsys, "suite", suite, "--trials", "-1")
+    assert code == 2
+    assert "PASS" not in out
+    assert "--trials" in err

@@ -127,10 +127,41 @@ def test_zero_candidate_final_stage_is_empty():
     assert outcome(inst, VoterPartition(frozenset({0, 1}))) == set()
 
 
-def test_shape_mismatch():
-    inst = DeleteVoters(atomic("plurality"), frozenset({0}), 0, (), 0, CONSTRUCTIVE)
+# one instance of each shape
+SAMPLES = [
+    AddCandidates(TWO_WAY, frozenset({0, 2}), frozenset({1}), 0,
+                  ((2, 1, 0),), CONSTRUCTIVE),
+    DeleteCandidates(atomic("e1_prefix"), frozenset({0, 1, 2}), 0,
+                     ((1, 2, 0), (2, 0, 1)), 2, CONSTRUCTIVE),
+    PartitionCandidates(atomic("not_all_one"), frozenset({0, 1}), 1,
+                        ((1, 0),), TP, DESTRUCTIVE),
+    RunoffPartitionCandidates(atomic("e1_tri"), frozenset({4, 6}), 4,
+                              ((4, 6),), TE, CONSTRUCTIVE),
+    AddVoters(atomic("plurality"), frozenset({0, 1}), 0, ((1, 0),),
+              ((0, 1), (0, 1)), 1, CONSTRUCTIVE),
+    DeleteVoters(atomic("not_all_one"), frozenset({0, 1}), 0,
+                 ((0, 1), (1, 0)), 1, DESTRUCTIVE),
+    PartitionVoters(atomic("condorcet"), frozenset({0, 1, 2}), 2,
+                    ((2, 1, 0), (2, 0, 1)), TE, CONSTRUCTIVE),
+]
+
+
+ACTIONS = [AddSet(frozenset()), DeleteSet(frozenset()),
+           CandidatePartition(frozenset(), frozenset()), AddVoterSet(frozenset()),
+           DeleteVoterSet(frozenset()), VoterPartition(frozenset())]
+FITS = {AddCandidates: AddSet, DeleteCandidates: DeleteSet,
+        PartitionCandidates: CandidatePartition,
+        RunoffPartitionCandidates: CandidatePartition, AddVoters: AddVoterSet,
+        DeleteVoters: DeleteVoterSet, PartitionVoters: VoterPartition}
+
+
+@pytest.mark.parametrize("inst, action", [
+    pytest.param(inst, action, id=f"{inst.type_code}-{type(action).__name__}")
+    for inst in SAMPLES for action in ACTIONS
+    if type(action) is not FITS[type(inst)]])
+def test_shape_mismatch(inst, action):
     with pytest.raises(ShapeMismatch):
-        outcome(inst, DeleteSet(frozenset()))
+        outcome(inst, action)
 
 
 def test_all_type_codes():
@@ -148,24 +179,6 @@ def test_k_zero_is_legal():
 
 
 # --- text format -------------------------------------------------------------
-
-
-SAMPLES = [
-    AddCandidates(TWO_WAY, frozenset({0, 2}), frozenset({1}), 0,
-                  ((2, 1, 0),), CONSTRUCTIVE),
-    DeleteCandidates(atomic("e1_prefix"), frozenset({0, 1, 2}), 0,
-                     ((1, 2, 0), (2, 0, 1)), 2, CONSTRUCTIVE),
-    PartitionCandidates(atomic("not_all_one"), frozenset({0, 1}), 1,
-                        ((1, 0),), TP, DESTRUCTIVE),
-    RunoffPartitionCandidates(atomic("e1_tri"), frozenset({4, 6}), 4,
-                              ((4, 6),), TE, CONSTRUCTIVE),
-    AddVoters(atomic("plurality"), frozenset({0, 1}), 0, ((1, 0),),
-              ((0, 1), (0, 1)), 1, CONSTRUCTIVE),
-    DeleteVoters(atomic("not_all_one"), frozenset({0, 1}), 0,
-                 ((0, 1), (1, 0)), 1, DESTRUCTIVE),
-    PartitionVoters(atomic("condorcet"), frozenset({0, 1, 2}), 2,
-                    ((2, 1, 0), (2, 0, 1)), TE, CONSTRUCTIVE),
-]
 
 
 @pytest.mark.parametrize("inst", SAMPLES, ids=lambda i: i.type_code)

@@ -12,10 +12,13 @@ from votectrl.errors import NonInjectiveMap, PreconditionFailed
 from votectrl.harness import (
     RenamingMap, anonymity_falsify, ccac_to_dcdc, dcdc_to_ccac, embed_rename,
     inheritance_check, random_instance, replay_recorded_scenarios,
-    special_construction, _SHAPES,
+    special_construction,
 )
+from votectrl.control import SHAPES as _SHAPES
 from votectrl.solvers import brute_force_decide
 from votectrl.systems import atomic, hybrid, winners
+
+from test_control import SAMPLES
 
 
 class TestRenamingMap:
@@ -46,14 +49,20 @@ def test_embed_rename_election():
     assert out == Election({0, 2}, [(2, 0)])
 
 
-def test_embed_rename_instance():
-    inst = AddCandidates(atomic("plurality"), frozenset({0}), frozenset({1}),
-                         0, ((1, 0),), CONSTRUCTIVE)
+@pytest.mark.parametrize("inst", SAMPLES, ids=lambda i: i.type_code)
+def test_embed_rename_instance(inst):
     out = embed_rename(inst, RenamingMap.affine(2, 1))
-    assert out.qualified == frozenset({1})
-    assert out.spoilers == frozenset({3})
-    assert out.distinguished == 1
-    assert out.ballots == ((3, 1),)
+    # every candidate id in every field is renamed, whichever field holds it
+    for name, value in vars(inst).items():
+        got = getattr(out, name)
+        if name == "distinguished":
+            assert got == 2 * value + 1
+        elif isinstance(value, frozenset):
+            assert got == frozenset(2 * c + 1 for c in value)
+        elif isinstance(value, tuple):
+            assert got == tuple(tuple(2 * c + 1 for c in b) for b in value)
+        else:
+            assert got == value, name
 
 
 def test_embed_rename_rejects_collisions():

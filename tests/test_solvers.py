@@ -12,14 +12,16 @@ from votectrl.control import (
     CONSTRUCTIVE, DESTRUCTIVE, TE, TP, goal_met,
 )
 from votectrl.errors import BudgetExceeded, NoDeciderRegistered, WrongSystem
-from votectrl.harness import random_instance, _SHAPES
+from votectrl.control import SHAPES as _SHAPES
+from votectrl.harness import random_instance
 from votectrl.reductions import X3CInstance, reduce_x3c
 from votectrl.solvers import (
     Decision, brute_force_decide, ccac_hybrid_poly, destructive_poly,
     e1_prefix_ccdc_poly, e1_tri_ccrpc_poly, e1_tri_even_ccpc_poly,
     route_and_solve_voters, _partition_voters_anonymous, CachedEvaluator,
+    POLY_DECIDERS,
 )
-from votectrl.systems import atomic, hybrid, raw_winners
+from votectrl.systems import ATOMIC_TAGS, atomic, hybrid, raw_winners
 
 TWO_WAY = hybrid("e_first", "e_last")
 PLURALITY = atomic("plurality")
@@ -269,10 +271,32 @@ def test_route_and_solve_voters_matches_brute_force():
     rng = random.Random(9)
     sid = hybrid("plurality", "condorcet")
     for _ in range(40):
-        shape = rng.choice(("AV", "DV", "PV"))
+        shape = rng.choice(("AV", "DV"))
         inst = random_instance(rng, shape, rng.choice((CONSTRUCTIVE, DESTRUCTIVE)),
                                sid, tie=rng.choice((TE, TP)))
         assert route_and_solve_voters(inst).answer == brute_force_decide(inst).answer
+
+
+def test_poly_registry_covers_the_expected_control_types():
+    # the rules, hybrids and twenty control types of the random-mix benchmark
+    systems = [atomic(t) for t in ATOMIC_TAGS] + [
+        hybrid("plurality", "condorcet", "not_all_one"), TWO_WAY,
+        hybrid("e0_solo", "e1_prefix")]
+    types = [(shape, goal) for goal in (CONSTRUCTIVE, DESTRUCTIVE)
+             for shape in _SHAPES
+             for _ in ((TE, TP) if shape in ("PC", "RPC", "PV") else (TE,))]
+    assert len(types) == 20
+    for sid in systems:
+        for shape, goal in types:
+            constructive = goal == CONSTRUCTIVE
+            expected = (
+                shape in ("AC", "AV", "DV") if sid.is_hybrid
+                else (sid.tag == "e1_prefix" and constructive and shape == "DC")
+                or (sid.tag == "e1_tri" and constructive and shape == "RPC")
+                or (sid.tag == "e1_tri_even" and constructive and shape == "PC")
+                or (sid.tag in ("e0_dfirst", "e1_second") and not constructive
+                    and shape in ("DC", "PC", "RPC")))
+            assert ((shape, goal, sid.tag) in POLY_DECIDERS) == expected, (sid, shape, goal)
 
 
 def test_route_and_solve_voters_rejects_candidate_control():
