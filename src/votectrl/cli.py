@@ -19,7 +19,7 @@ from .control import (
 from .core import parse_election
 from .errors import BudgetExceeded, ParseError, ReplayMismatch, VotectrlError
 from .solvers import poly_decide
-from .systems import ATOMIC_TAGS, atomic, hybrid, parse_system, winners
+from .systems import RULES, atomic, hybrid, parse_system, winners
 
 DEFAULT_SEED = 2024
 
@@ -202,7 +202,7 @@ def cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    systems_help = ("system ids: " + ", ".join(ATOMIC_TAGS)
+    systems_help = ("system ids: " + ", ".join(RULES)
                     + ", hybrid:<a>,<b>,..., hybrid_base:<a>,<b>;default=<c>")
     parser = argparse.ArgumentParser(
         prog="votectrl",

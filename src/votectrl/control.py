@@ -17,7 +17,7 @@ from math import comb
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
-    Ballot, _content_lines, _parse_ids, check_ballots, format_ballot,
+    Ballot, _content_lines, _parse_naturals, check_ballots, format_ballot,
     parse_ballot_line, restrict, unique_winner,
 )
 from .errors import BoundViolation, ParseError, ShapeMismatch
@@ -449,7 +449,7 @@ def parse_instance(text: str) -> ControlInstance:
         if key in ("ballot", "unregistered-ballot"):
             lists[key].append(parse_ballot_line(body, lineno))
         elif key in ("candidates", "spoilers"):
-            lists[key] = _parse_ids(body.split(), lineno)
+            lists[key] = _parse_naturals(body.split(), lineno)
         elif key in ("type", "system", "distinguished", "k", "tie"):
             fields[key] = body
         else:

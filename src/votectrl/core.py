@@ -115,6 +115,14 @@ def _parse_ids(tokens: list[str], lineno: int) -> list[int]:
         raise ParseError(f"line {lineno}: expected integer ids, got {tokens}") from exc
 
 
+def _parse_naturals(tokens: list[str], lineno: int) -> list[int]:
+    """Ids of a line that names a universe; candidate ids are naturals."""
+    ids = _parse_ids(tokens, lineno)
+    if ids and min(ids) < 0:
+        raise ParseError(f"line {lineno}: ids must be naturals, got {min(ids)}")
+    return ids
+
+
 def parse_ballot_line(body: str, lineno: int = 0) -> Ballot:
     """Parse the ``<id> > <id> > ...`` tail of a ballot line."""
     if not body.strip():
@@ -132,7 +140,7 @@ def parse_election(text: str) -> Election:
     if not lines or not lines[0][1].startswith("candidates"):
         raise ParseError("election file must start with a 'candidates' line")
     lineno, header = lines[0]
-    candidates = _parse_ids(header.split()[1:], lineno)
+    candidates = _parse_naturals(header.split()[1:], lineno)
     if len(set(candidates)) != len(candidates):
         raise ParseError(f"line {lineno}: duplicate candidate ids")
     ballots = []

@@ -25,10 +25,6 @@ class BudgetExceeded(VotectrlError):
     """An exhaustive search would exceed the configured action budget."""
 
 
-class NoDeciderRegistered(VotectrlError):
-    """A delegating solver has no decider for the constituent it routed to."""
-
-
 class WrongSystem(VotectrlError):
     """A specialized decision procedure was handed the wrong election system."""
 

@@ -108,31 +108,25 @@ class AnonymityWitness:
     actual: frozenset[int]
 
 
-def _random_election(rng: random.Random, max_candidates: int, max_voters: int,
-                     id_pool: int) -> Election:
-    m = rng.randint(1, max_candidates)
-    cands = rng.sample(range(id_pool), m)
-    ballots = []
-    for _ in range(rng.randint(0, max_voters)):
-        b = cands[:]
-        rng.shuffle(b)
-        ballots.append(tuple(b))
-    return Election(cands, ballots)
-
-
-def anonymity_falsify(sid: SystemId, trials: int, max_candidates: int = 4,
-                      max_voters: int = 4, seed: int = 0,
-                      id_pool: int = 12) -> AnonymityWitness | None:
+def anonymity_falsify(sid: SystemId, trials: int,
+                      seed: int = 0) -> AnonymityWitness | None:
     """Search random elections and renamings for an anonymity violation.
 
     Returns the first witness where renaming the candidates does not simply
     rename the winners, or None if no violation shows up.  Finding none is
-    evidence, not proof.
+    evidence, not proof.  Each trial draws up to four candidates and four
+    ballots, and renames into the same id range, below 12.
     """
     rng = random.Random(seed)
     for _ in range(trials):
-        e = _random_election(rng, max_candidates, max_voters, id_pool)
-        targets = rng.sample(range(id_pool), len(e.candidates))
+        cands = rng.sample(range(12), rng.randint(1, 4))
+        ballots = []
+        for _ in range(rng.randint(0, 4)):
+            b = cands[:]
+            rng.shuffle(b)
+            ballots.append(tuple(b))
+        e = Election(cands, ballots)
+        targets = rng.sample(range(12), len(e.candidates))
         mapping = dict(zip(sorted(e.candidates), targets))
         m = RenamingMap.explicit(mapping)
         expected = frozenset(mapping[c] for c in winners(sid, e))
@@ -205,8 +199,8 @@ def dcdc_to_ccac(instance: DeleteCandidates, action: DeleteSet
 
 
 def random_instance(rng: random.Random, shape: str, goal: str, system: SystemId,
-                    tie: str = TE, max_candidates: int = 4, max_voters: int = 5,
-                    id_pool: int = 9) -> ControlInstance:
+                    tie: str = TE, max_candidates: int = 4,
+                    max_voters: int = 5) -> ControlInstance:
     """A seeded random control instance of the given shape and goal.
 
     Every ballot list gets up to ``max_voters`` ballots.  With two candidate
@@ -218,7 +212,7 @@ def random_instance(rng: random.Random, shape: str, goal: str, system: SystemId,
         raise ValueError(f"shape must be one of {SHAPES}")
     spec = SPECS[shape]
     m = rng.randint(1, max_candidates)
-    ids = rng.sample(range(id_pool), m)
+    ids = rng.sample(range(9), m)
     cands = frozenset(ids)
     c = rng.choice(ids)
     sizes = [rng.randint(0, max_voters) for _ in spec.profiles]

@@ -18,7 +18,7 @@ from .control import (
     AddVoters, ControlInstance, DeleteCandidates, DeleteVoters, PartitionVoters,
     CONSTRUCTIVE, DESTRUCTIVE, SPECS, TE,
 )
-from .core import Ballot, _content_lines, _parse_ids
+from .core import Ballot, _content_lines, _parse_naturals
 from .errors import (
     BudgetExceeded, InvariantViolation, ParityViolation, ParseError, TooManyEdges,
 )
@@ -62,11 +62,15 @@ class GraphInstance:
         object.__setattr__(self, "edges", es)
 
 
-def x3c_oracle(instance: X3CInstance, budget: int = 2 ** 20) -> bool:
+# the vertex-cover oracles enumerate subsets of at most this many vertices
+MAX_VERTICES = 16
+
+
+def x3c_oracle(instance: X3CInstance) -> bool:
     """Does some subfamily cover every base element exactly once?"""
     n = len(instance.family)
-    if 2 ** n > budget:
-        raise BudgetExceeded(f"2^{n} subfamilies exceed budget {budget}")
+    if n > 20:
+        raise BudgetExceeded(f"2^{n} subfamilies exceed budget {2 ** 20}")
     pos = {e: i for i, e in enumerate(sorted(instance.base))}
     masks = [sum(1 << pos[e] for e in s) for s in instance.family]
     m = len(instance.base)
@@ -93,8 +97,8 @@ def vc_oracle(g: GraphInstance, k: int) -> bool:
 
 def vc_exact_oracle(g: GraphInstance, size: int) -> bool:
     """Does the graph have a vertex cover of exactly the given size?"""
-    if len(g.vertices) > 16:
-        raise BudgetExceeded("vertex-cover oracle limited to 16 vertices")
+    if len(g.vertices) > MAX_VERTICES:
+        raise BudgetExceeded(f"vertex-cover oracle limited to {MAX_VERTICES} vertices")
     vs = sorted(g.vertices)
     if not 0 <= size <= len(vs):
         return False
@@ -252,12 +256,10 @@ def source_answer(source, target: ControlInstance) -> bool:
     raise InvariantViolation(f"unknown source instance {type(source).__name__}")
 
 
-def verify_reduction(source, target: ControlInstance,
-                     budget: int | None = None) -> ReductionReport:
+def verify_reduction(source, target: ControlInstance) -> ReductionReport:
     """Compare the source oracle with the brute-force control answer."""
-    kwargs = {} if budget is None else {"budget": budget}
     return ReductionReport(source_answer(source, target),
-                           brute_force_decide(target, **kwargs).answer)
+                           brute_force_decide(target).answer)
 
 
 # --- text formats ----------------------------------------------------------
@@ -270,7 +272,7 @@ def parse_x3c(text: str) -> X3CInstance:
     saw_base = False
     for lineno, line in _content_lines(text):
         key, *tokens = line.split()
-        ids = _parse_ids(tokens, lineno)
+        ids = _parse_naturals(tokens, lineno)
         if key == "base":
             base, saw_base = ids, True
         elif key == "set":
@@ -294,16 +296,18 @@ def format_x3c(instance: X3CInstance) -> str:
 def parse_graph(text: str) -> GraphInstance:
     """Parse ``vertices ...`` plus ``edge i j`` lines.
 
-    A single token after ``vertices`` is a count (labels 1..N); several
-    tokens are explicit vertex ids.
+    A single token after ``vertices`` is a count (labels 1..N, with N at
+    most MAX_VERTICES); several tokens are explicit vertex ids.
     """
     vertices: list[int] = []
     edges: list[list[int]] = []
     saw_vertices = False
     for lineno, line in _content_lines(text):
         key, *tokens = line.split()
-        ids = _parse_ids(tokens, lineno)
+        ids = _parse_naturals(tokens, lineno)
         if key == "vertices":
+            if len(ids) == 1 and ids[0] > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: more than {MAX_VERTICES} vertices")
             vertices = list(range(1, ids[0] + 1)) if len(ids) == 1 else ids
             saw_vertices = True
         elif key == "edge":

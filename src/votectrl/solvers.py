@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from typing import Callable, Mapping
+from typing import Callable
 
 from .control import (
     AddCandidates, AddSet, AddVoters, CandidatePartition, ControlAction,
@@ -21,8 +21,8 @@ from .control import (
     VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, TE, goal_met, shape_of,
 )
 from .core import restrict, unique_winner
-from .errors import BudgetExceeded, NoDeciderRegistered, WrongSystem
-from .systems import COUNTED_WINNERS, SystemId, _triangular_roots, raw_winners, route
+from .errors import BudgetExceeded, WrongSystem
+from .systems import RULES, SystemId, _triangular_roots, raw_winners, route
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -51,7 +51,7 @@ class CachedEvaluator:
 
 def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
                                 budget: int) -> Decision:
-    """Voter partitions for ballot-order-insensitive systems.
+    """Voter partitions whose candidate set routes to a voter-anonymous rule.
 
     Identical ballots are interchangeable: only the per-group counts sent to
     side 1 matter.  Count vectors (classes) are indexed in mixed radix, in
@@ -86,9 +86,9 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     # rebuilding ballot lists per class
     cands = instance.candidates
     choices = [range(len(ix) + 1) for ix in groups.values()]
-    factory = COUNTED_WINNERS.get(route(instance.system, cands).tag)
-    if factory is not None:
-        codes, decode = factory(cands, ballots_of).codes(choices)
+    counted = RULES[route(instance.system, cands).tag].counted
+    if counted is not None:
+        codes, decode = counted(cands, ballots_of).codes(choices)
     else:
         codes = [evaluate(cands, tuple(b for b, t in zip(ballots_of, counts)
                                        for _ in range(t)))
@@ -131,12 +131,15 @@ def brute_force_decide(instance: ControlInstance,
                        budget: int = DEFAULT_BUDGET) -> Decision:
     """Exhaustively search all legal chair actions for the instance's goal.
 
-    Voter partitions on a voter-anonymous system take the count-class search
-    instead of the mask enumeration; both give the same canonical witness.
+    Voter partitions take the count-class search, which gives the same
+    canonical witness, when the full candidate set routes to a
+    voter-anonymous rule: both subelections run on that set, and the final
+    run-off is evaluated on the real ballot list.
     """
     evaluate = CachedEvaluator(instance.system)
     shape = shape_of(instance)
-    if shape.code == "PV" and instance.system.voter_anonymous:
+    if (shape.code == "PV"
+            and RULES[route(instance.system, instance.candidates).tag].voter_anonymous):
         return _partition_voters_anonymous(instance, evaluate, budget)
     count, actions = shape.actions(instance)
     if count > budget:
@@ -150,47 +153,36 @@ def brute_force_decide(instance: ControlInstance,
 Decider = Callable[[ControlInstance], Decision]
 
 
-def _delegate(deciders: Mapping[SystemId, Decider] | None, system: SystemId,
-              instance: ControlInstance) -> Decision:
-    """Decide ``instance`` under ``system`` with its registered decider, or
-    by brute force when no registry is given."""
-    instance = replace(instance, system=system)
-    if deciders is None:
-        return brute_force_decide(instance)
-    if system not in deciders:
-        raise NoDeciderRegistered(f"no decider for {system}")
-    return deciders[system](instance)
+def _delegate(system: SystemId, instance: ControlInstance) -> Decision:
+    """Decide ``instance`` by brute force under the constituent ``system``."""
+    return brute_force_decide(replace(instance, system=system))
 
 
-def route_and_solve_voters(instance: ControlInstance,
-                           deciders: Mapping[SystemId, Decider] | None = None,
-                           ) -> Decision:
+def route_and_solve_voters(instance: ControlInstance) -> Decision:
     """Adding or deleting voters on a hybrid: delegate to the routed constituent.
 
     Neither changes the candidate set, so one constituent handles every
-    election evaluation the instance can produce; its decider decides the
-    hybrid instance outright.  Partitioning voters is not covered: its final
-    run-off is over the subelection survivors, which can route elsewhere.
+    election the instance can produce, and it decides the instance outright.
+    Partitioning voters is not covered: its final run-off is over the
+    subelection survivors, which can route elsewhere.
     """
     if not isinstance(instance, (AddVoters, DeleteVoters)):
         raise WrongSystem("route_and_solve_voters handles adding and deleting voters only")
     if not instance.system.is_hybrid:
         raise WrongSystem("instance system must be a hybrid")
-    return _delegate(deciders, route(instance.system, instance.candidates), instance)
+    return _delegate(route(instance.system, instance.candidates), instance)
 
 
-def ccac_hybrid_poly(instance: AddCandidates,
-                     deciders: Mapping[SystemId, Decider] | None = None,
-                     ) -> Decision:
+def ccac_hybrid_poly(instance: AddCandidates) -> Decision:
     """Control by adding candidates on a hybrid, by case analysis on residues.
 
     Case 1: mixed-residue qualified set -- every reachable candidate set is
-    routed to the default constituent, so its decider decides the instance.
+    routed to the default constituent, so the instance is decided under it.
     Case 2: uniform residue q and all spoilers congruent to q -- likewise,
     with constituent q.  Case 3: uniform q with off-residue spoilers --
     first try the residue-q spoilers alone under constituent q, then force
     in each off-residue spoiler d (which flips routing to the default) and
-    ask the default's decider with d qualified.
+    decide under the default with d qualified.
     """
     if not isinstance(instance, AddCandidates):
         raise WrongSystem("ccac_hybrid_poly handles adding candidates only")
@@ -201,26 +193,24 @@ def ccac_hybrid_poly(instance: AddCandidates,
     k = len(sid.constituents)
     q_residues = {x % k for x in instance.qualified}
     if len(q_residues) > 1:
-        return _delegate(deciders, sid.default_constituent, instance)
+        return _delegate(sid.default_constituent, instance)
 
     q = q_residues.pop()
     off = sorted(s for s in instance.spoilers if s % k != q)
     if not off:
-        return _delegate(deciders, sid.constituents[q], instance)
+        return _delegate(sid.constituents[q], instance)
 
     s_q = instance.spoilers - frozenset(off)
     kept = instance.qualified | s_q
-    step1 = _delegate(
-        deciders, sid.constituents[q],
-        replace(instance, spoilers=s_q,
-                ballots=tuple(restrict(b, kept) for b in instance.ballots)))
+    step1 = _delegate(sid.constituents[q], replace(
+        instance, spoilers=s_q,
+        ballots=tuple(restrict(b, kept) for b in instance.ballots)))
     if step1.answer:
         return step1
     for d in off:
-        sub = _delegate(
-            deciders, sid.default_constituent,
-            replace(instance, qualified=instance.qualified | {d},
-                    spoilers=instance.spoilers - {d}))
+        sub = _delegate(sid.default_constituent, replace(
+            instance, qualified=instance.qualified | {d},
+            spoilers=instance.spoilers - {d}))
         if sub.answer:
             assert isinstance(sub.witness, AddSet)
             return Decision(True, AddSet(sub.witness.added | {d}))

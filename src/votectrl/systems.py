@@ -14,39 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Ballot, Election
 from .errors import ParseError
-
-ATOMIC_TAGS = (
-    "plurality",
-    "condorcet",
-    "not_all_one",
-    "e_first",
-    "e_last",
-    "e_null",
-    "e0_solo",
-    "e1_prefix",
-    "e0_single",
-    "e1_tri",
-    "e1_tri_even",
-    "e0_dfirst",
-    "e1_second",
-)
-
-# Systems whose outcome is invariant under permuting the ballot list.  Used
-# by the brute-force solver to collapse symmetric voter partitions.
-VOTER_ANONYMOUS_TAGS = frozenset(
-    {"plurality", "condorcet", "not_all_one", "e_first", "e_last", "e_null",
-     "e0_solo", "e0_single"}
-)
-
-# Systems guaranteed to return winner sets of size <= 1.
-TIE_FREE_TAGS = frozenset(
-    {"not_all_one", "e0_solo", "e1_prefix", "e0_single", "e1_tri",
-     "e1_tri_even", "e0_dfirst", "e1_second", "e_first", "e_last", "e_null"}
-)
 
 
 @dataclass(frozen=True)
@@ -58,7 +29,7 @@ class SystemId:
     default: "SystemId | None" = None
 
     def __post_init__(self):
-        if self.tag in ATOMIC_TAGS:
+        if self.tag in RULES:
             if self.constituents or self.default is not None:
                 raise ValueError(f"{self.tag} takes no constituents")
         elif self.tag in ("hybrid", "hybrid_base"):
@@ -87,13 +58,6 @@ class SystemId:
             assert self.default is not None
             return self.default
         raise ValueError(f"{self.tag} has no default constituent")
-
-    @property
-    def voter_anonymous(self) -> bool:
-        if self.is_hybrid:
-            return (all(c.voter_anonymous for c in self.constituents)
-                    and self.default_constituent.voter_anonymous)
-        return self.tag in VOTER_ANONYMOUS_TAGS
 
     def __str__(self) -> str:
         return format_system(self)
@@ -351,29 +315,37 @@ class NotAllOneCounted:
         return codes, decode.__getitem__
 
 
-# Counts-based evaluators for voter-anonymous rules, built from (candidates,
-# distinct ballots); purely an optimization, must agree with the plain
-# winner functions.
-COUNTED_WINNERS = {
-    "not_all_one": NotAllOneCounted,
-}
+@dataclass(frozen=True, slots=True)
+class Rule:
+    """An atomic rule: its winner function, whether it ignores ballot order
+    (``voter_anonymous``) and elects at most one (``tie_free``), and its
+    counts-based form over (candidates, distinct ballots), or None.  The
+    counted form is an optimization and must agree with ``winners``."""
+
+    winners: Callable[[frozenset[int], tuple[Ballot, ...]], frozenset[int]]
+    voter_anonymous: bool
+    tie_free: bool
+    counted: type | None = None
 
 
-_ATOMIC_WINNERS = {
-    "plurality": plurality_winners,
-    "condorcet": condorcet_winners,
-    "not_all_one": not_all_one_winners,
-    "e_first": e_first_winners,
-    "e_last": e_last_winners,
-    "e_null": e_null_winners,
-    "e0_solo": e0_solo_winners,
-    "e1_prefix": e1_prefix_winners,
-    "e0_single": e0_single_winners,
-    "e1_tri": e1_tri_winners,
-    "e1_tri_even": e1_tri_even_winners,
-    "e0_dfirst": e0_dfirst_winners,
-    "e1_second": e1_second_winners,
+# ATOMIC_TAGS keeps this order; the benchmark's system list is built from it
+RULES: dict[str, Rule] = {
+    "plurality": Rule(plurality_winners, voter_anonymous=True, tie_free=False),
+    "condorcet": Rule(condorcet_winners, voter_anonymous=True, tie_free=False),
+    "not_all_one": Rule(not_all_one_winners, voter_anonymous=True, tie_free=True,
+                        counted=NotAllOneCounted),
+    "e_first": Rule(e_first_winners, voter_anonymous=True, tie_free=True),
+    "e_last": Rule(e_last_winners, voter_anonymous=True, tie_free=True),
+    "e_null": Rule(e_null_winners, voter_anonymous=True, tie_free=True),
+    "e0_solo": Rule(e0_solo_winners, voter_anonymous=True, tie_free=True),
+    "e1_prefix": Rule(e1_prefix_winners, voter_anonymous=False, tie_free=True),
+    "e0_single": Rule(e0_single_winners, voter_anonymous=True, tie_free=True),
+    "e1_tri": Rule(e1_tri_winners, voter_anonymous=False, tie_free=True),
+    "e1_tri_even": Rule(e1_tri_even_winners, voter_anonymous=False, tie_free=True),
+    "e0_dfirst": Rule(e0_dfirst_winners, voter_anonymous=False, tie_free=True),
+    "e1_second": Rule(e1_second_winners, voter_anonymous=False, tie_free=True),
 }
+ATOMIC_TAGS = tuple(RULES)
 
 
 def route(sid: SystemId, cands: frozenset[int]) -> SystemId:
@@ -398,8 +370,7 @@ def raw_winners(sid: SystemId, cands: frozenset[int],
     """Winner set on a raw (candidates, ballots) pair. Hot-loop entry point."""
     if not cands:
         return frozenset()
-    target = route(sid, cands)
-    return _ATOMIC_WINNERS[target.tag](cands, ballots)
+    return RULES[route(sid, cands).tag].winners(cands, ballots)
 
 
 def winners(sid: SystemId, e: Election) -> frozenset[int]:

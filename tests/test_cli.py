@@ -275,3 +275,34 @@ def test_suite_rejects_negative_trials(capsys, suite):
     assert code == 2
     assert "PASS" not in out
     assert "--trials" in err
+
+
+NEGATIVE_CCDC = """\
+type CCDC
+system plurality
+distinguished -1
+k 0
+candidates -1 1
+ballot -1 > 1
+"""
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("winners", "--system", "hybrid:e_first,e_last", "--election"),
+     "candidates -1 1\nballot -1 > 1\n", "naturals"),
+    (("decide", "--instance"), NEGATIVE_CCDC, "naturals"),
+    (("verify", "--from", "x3c", "--input"), "base -3 -2 -1\nset -3 -2 -1\n", "naturals"),
+    (("verify", "--from", "vc", "--k", "1", "--input"), "vertices -2 1\nedge -2 1\n",
+     "naturals"),
+    (("verify", "--from", "vc", "--k", "1", "--input"), "vertices 17\nedge 1 2\n",
+     "more than 16 vertices"),
+], ids=["winners-negative", "decide-negative", "x3c-negative", "graph-negative",
+        "graph-too-many-vertices"])
+def test_text_boundary_rejects_negative_ids_and_large_graphs(tmp_path, capsys,
+                                                             argv, text, message):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, *argv, str(f))
+    assert code == 2
+    assert out == ""
+    assert message in err

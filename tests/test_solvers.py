@@ -11,9 +11,9 @@ from votectrl.control import (
     RunoffPartitionCandidates, VoterPartition,
     CONSTRUCTIVE, DESTRUCTIVE, TE, TP, goal_met,
 )
-from votectrl.errors import BudgetExceeded, NoDeciderRegistered, WrongSystem
+from votectrl.errors import BudgetExceeded, WrongSystem
 from votectrl.control import SHAPES as _SHAPES
-from votectrl.harness import random_instance
+from votectrl.harness import RenamingMap, embed_rename, random_instance
 from votectrl.reductions import X3CInstance, reduce_x3c
 from votectrl.solvers import (
     Decision, brute_force_decide, ccac_hybrid_poly, destructive_poly,
@@ -21,7 +21,7 @@ from votectrl.solvers import (
     route_and_solve_voters, _partition_voters_anonymous, CachedEvaluator,
     POLY_DECIDERS,
 )
-from votectrl.systems import ATOMIC_TAGS, atomic, hybrid, raw_winners
+from votectrl.systems import ATOMIC_TAGS, RULES, atomic, hybrid, raw_winners
 
 TWO_WAY = hybrid("e_first", "e_last")
 PLURALITY = atomic("plurality")
@@ -83,7 +83,7 @@ def test_budget_exceeded_for_anonymous_voter_partition():
     ballots = ((0, 1),) * 30 + ((1, 0),) * 30
     inst = PartitionVoters(PLURALITY, frozenset({0, 1}), 1, ballots, TE,
                            CONSTRUCTIVE)
-    assert inst.system.voter_anonymous
+    assert RULES[inst.system.tag].voter_anonymous
     with pytest.raises(BudgetExceeded):
         brute_force_decide(inst, budget=31 * 31 - 1)
 
@@ -153,6 +153,21 @@ def test_anonymous_voter_partition_witnesses_on_exact_cover_gadgets():
         _assert_matches_naive(variant)
 
 
+def test_voter_partition_gate_follows_the_routed_rule():
+    # hybrid(not_all_one, e1_prefix) is not voter-anonymous as a whole, but
+    # the renamed gadget's even candidates all route to not_all_one, so
+    # brute force takes the count-class search: 384 classes fit the budget,
+    # the 2^11 masks would not
+    family = [{1, 2, 3}, {1, 4, 5}, {4, 5, 6}, {2, 3, 6}, {3, 4, 5}]
+    gadget = reduce_x3c(X3CInstance(range(1, 7), family), "DCPV")
+    inst = replace(embed_rename(gadget, RenamingMap.affine(2, 0)),
+                   system=hybrid("not_all_one", "e1_prefix"))
+    assert not RULES["e1_prefix"].voter_anonymous
+    for variant in _goal_and_tie_variants(inst):
+        assert (brute_force_decide(variant, budget=1000)
+                == naive_partition_voters(variant)), variant
+
+
 @pytest.mark.parametrize("copies", [7, 8, 15, 16])
 def test_anonymous_voter_partition_at_packed_field_boundaries(copies):
     # totals of 7, 8, 15 and 16 ballots sit at the edges of the counted
@@ -186,13 +201,6 @@ def test_ccac_poly_uniform_residue_delegation():
     inst = AddCandidates(TWO_WAY, frozenset({0, 2}), frozenset({4}), 0,
                          ((0, 2, 4),), CONSTRUCTIVE)
     assert ccac_hybrid_poly(inst).answer == brute_force_decide(inst).answer
-
-
-def test_ccac_poly_missing_decider():
-    inst = AddCandidates(TWO_WAY, frozenset({0, 2}), frozenset({1}), 0,
-                         ((2, 1, 0),), CONSTRUCTIVE)
-    with pytest.raises(NoDeciderRegistered):
-        ccac_hybrid_poly(inst, deciders={})
 
 
 def test_e1_prefix_ccdc_poly_example():

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from votectrl.core import Election
 from votectrl.errors import ParseError
 from votectrl.systems import (
-    ATOMIC_TAGS, COUNTED_WINNERS, TIE_FREE_TAGS, VOTER_ANONYMOUS_TAGS,
-    SystemId, atomic, format_system, hybrid, hybrid_base, parse_system,
+    ATOMIC_TAGS, RULES, SystemId, atomic, format_system, hybrid, hybrid_base, parse_system,
     raw_winners, route, winners,
 )
 
@@ -83,7 +82,7 @@ class TestNotAllOne:
             st.permutations(order).map(tuple), min_size=1, max_size=4,
             unique=True))
         counts = tuple(data.draw(st.integers(0, 5)) for _ in groups)
-        counted = COUNTED_WINNERS["not_all_one"](cands, tuple(groups))
+        counted = RULES["not_all_one"].counted(cands, tuple(groups))
         flat = tuple(b for b, k in zip(groups, counts) for _ in range(k))
         assert counted(counts) == run("not_all_one", cands, flat)
 
@@ -272,7 +271,7 @@ def test_winners_are_candidates(data):
 @settings(max_examples=60)
 @given(st.data())
 def test_tie_free_tags_return_at_most_one_winner(data):
-    tag = data.draw(st.sampled_from(sorted(TIE_FREE_TAGS)))
+    tag = data.draw(st.sampled_from(sorted(t for t, r in RULES.items() if r.tie_free)))
     cands = data.draw(st.sets(st.integers(0, 8), min_size=1, max_size=4))
     ballots = data.draw(st.lists(
         st.permutations(sorted(cands)).map(tuple), max_size=5))
@@ -282,7 +281,8 @@ def test_tie_free_tags_return_at_most_one_winner(data):
 @settings(max_examples=60)
 @given(st.data())
 def test_voter_anonymous_tags_ignore_ballot_order(data):
-    tag = data.draw(st.sampled_from(sorted(VOTER_ANONYMOUS_TAGS)))
+    tag = data.draw(st.sampled_from(
+        sorted(t for t, r in RULES.items() if r.voter_anonymous)))
     cands = data.draw(st.sets(st.integers(0, 8), min_size=1, max_size=4))
     ballots = data.draw(st.lists(
         st.permutations(sorted(cands)).map(tuple), max_size=5))
