@@ -28,7 +28,8 @@ DESTRUCTIVE = "destructive"
 TE = "TE"
 TP = "TP"
 
-Evaluator = Callable[[frozenset[int], tuple[Ballot, ...]], frozenset[int]]
+# evaluate(S): the winners of the instance's ballots restricted to S
+Evaluator = Callable[[frozenset[int]], frozenset[int]]
 
 
 class _Instance:
@@ -211,25 +212,45 @@ ControlAction = Union[
 #
 # Each checks the action against the instance's bounds, raising
 # BoundViolation, and returns the winner set of the election it leads to.
+# Candidate-set elections go through ``evaluate``; elections over a subset
+# of the voters call ``raw_winners`` directly.
 
 
-def _survivors(evaluate: Evaluator, tie: str, cands: frozenset[int],
-               ballots: tuple[Ballot, ...]) -> frozenset[int]:
-    ws = evaluate(cands, ballots)
-    if tie == TE:
-        return ws if len(ws) == 1 else frozenset()
-    return ws
+class CachedEvaluator:
+    """``evaluate(S)``: the winners of one instance's own ballot list
+    restricted to the candidate set ``S``, memoized by ``S``.
+
+    The memo is valid only for the instance it was built from.  On a miss,
+    each distinct ballot is restricted once and the results are laid back
+    out in the original ballot order, which several rules read.
+    """
+
+    def __init__(self, instance: ControlInstance):
+        self.instance = instance
+        self.system = instance.system
+        self._memo: dict[frozenset[int], frozenset[int]] = {}
+        profile: dict[Ballot, int] = {}
+        self._order = tuple(profile.setdefault(b, len(profile)) for b in instance.ballots)
+        self._distinct = tuple(profile)
+
+    def __call__(self, cands: frozenset[int]) -> frozenset[int]:
+        ws = self._memo.get(cands)
+        if ws is None:
+            restricted = [restrict(b, cands) for b in self._distinct]
+            ws = self._memo[cands] = raw_winners(
+                self.system, cands, tuple(map(restricted.__getitem__, self._order)))
+        return ws
 
 
-def _restricted(ballots: Sequence[Ballot], keep: frozenset[int]) -> tuple[Ballot, ...]:
-    return tuple(restrict(b, keep) for b in ballots)
+def _survivors(tie: str, ws: frozenset[int]) -> frozenset[int]:
+    """A subelection's winners that go on: under TE only a unique winner."""
+    return ws if tie != TE or len(ws) == 1 else frozenset()
 
 
 def _add_candidates(instance, action, evaluate):
     if not action.added <= instance.spoilers:
         raise BoundViolation("can only add spoiler candidates")
-    final = instance.qualified | action.added
-    return evaluate(final, _restricted(instance.ballots, final))
+    return evaluate(instance.qualified | action.added)
 
 
 def _delete_candidates(instance, action, evaluate):
@@ -239,28 +260,22 @@ def _delete_candidates(instance, action, evaluate):
         raise BoundViolation(f"deleted {len(action.deleted)} > limit {instance.limit}")
     if instance.goal == DESTRUCTIVE and instance.distinguished in action.deleted:
         raise BoundViolation("destructive control may not delete the distinguished candidate")
-    final = instance.candidates - action.deleted
-    return evaluate(final, _restricted(instance.ballots, final))
+    return evaluate(instance.candidates - action.deleted)
 
 
 def _side1_survivors(instance, action, evaluate):
     if action.side1 | action.side2 != instance.candidates:
         raise BoundViolation("partition sides must cover the candidate set")
-    return _survivors(evaluate, instance.tie, action.side1,
-                      _restricted(instance.ballots, action.side1))
+    return _survivors(instance.tie, evaluate(action.side1))
 
 
 def _partition_candidates(instance, action, evaluate):
-    final = _side1_survivors(instance, action, evaluate) | action.side2
-    return evaluate(final, _restricted(instance.ballots, final))
+    return evaluate(_side1_survivors(instance, action, evaluate) | action.side2)
 
 
 def _runoff_partition_candidates(instance, action, evaluate):
     s1 = _side1_survivors(instance, action, evaluate)
-    s2 = _survivors(evaluate, instance.tie, action.side2,
-                    _restricted(instance.ballots, action.side2))
-    final = s1 | s2
-    return evaluate(final, _restricted(instance.ballots, final))
+    return evaluate(s1 | _survivors(instance.tie, evaluate(action.side2)))
 
 
 def _add_voters(instance, action, evaluate):
@@ -270,7 +285,7 @@ def _add_voters(instance, action, evaluate):
         raise BoundViolation(f"added {len(action.added)} > limit {instance.limit}")
     ballots = instance.registered + tuple(
         instance.unregistered[i] for i in sorted(action.added))
-    return evaluate(instance.candidates, ballots)
+    return raw_winners(instance.system, instance.candidates, ballots)
 
 
 def _delete_voters(instance, action, evaluate):
@@ -280,18 +295,17 @@ def _delete_voters(instance, action, evaluate):
         raise BoundViolation(f"deleted {len(action.deleted)} > limit {instance.limit}")
     ballots = tuple(b for i, b in enumerate(instance.ballots)
                     if i not in action.deleted)
-    return evaluate(instance.candidates, ballots)
+    return raw_winners(instance.system, instance.candidates, ballots)
 
 
 def _partition_voters(instance, action, evaluate):
     if not all(0 <= i < len(instance.ballots) for i in action.side1):
         raise BoundViolation("partition voter index out of range")
+    sid, cands = instance.system, instance.candidates
     v1 = tuple(b for i, b in enumerate(instance.ballots) if i in action.side1)
     v2 = tuple(b for i, b in enumerate(instance.ballots) if i not in action.side1)
-    s1 = _survivors(evaluate, instance.tie, instance.candidates, v1)
-    s2 = _survivors(evaluate, instance.tie, instance.candidates, v2)
-    final = s1 | s2
-    return evaluate(final, _restricted(instance.ballots, final))
+    return evaluate(_survivors(instance.tie, raw_winners(sid, cands, v1))
+                    | _survivors(instance.tie, raw_winners(sid, cands, v2)))
 
 
 # --- canonical action enumerations, one per shape --------------------------
@@ -365,7 +379,7 @@ class Shape:
     has_tie: bool
     k_cap: str | None          # the field whose length bounds k, if any
     actions: Callable          # instance -> (count, canonical action iterator)
-    final: Callable            # (instance, action, evaluate) -> final winner set
+    final: Callable            # (instance, action, Evaluator) -> final winner set
 
 
 SPECS: dict[str, Shape] = {s.code: s for s in (
@@ -402,24 +416,26 @@ def shape_of(instance: ControlInstance) -> Shape:
 
 
 def outcome(instance: ControlInstance, action: ControlAction,
-            evaluate: Evaluator | None = None) -> frozenset[int]:
+            evaluate: CachedEvaluator | None = None) -> frozenset[int]:
     """Winner set after the chair applies ``action`` to ``instance``.
 
-    ``evaluate`` may override the winner function (e.g. with a memoizing
-    wrapper); it must agree with the instance's system.
+    ``evaluate`` is a ``CachedEvaluator`` built from this same instance,
+    shared across actions so that each candidate-set election is evaluated
+    once; without one, a fresh one is built.
     """
     shape = shape_of(instance)
     if type(action) is not shape.action:
         raise ShapeMismatch(
             f"{type(action).__name__} does not fit {type(instance).__name__}")
     if evaluate is None:
-        sid = instance.system
-        evaluate = lambda cands, ballots: raw_winners(sid, cands, ballots)
+        evaluate = CachedEvaluator(instance)
+    elif evaluate.instance is not instance and evaluate.instance != instance:
+        raise ValueError("the evaluator was built from another instance")
     return shape.final(instance, action, evaluate)
 
 
 def goal_met(instance: ControlInstance, action: ControlAction,
-             evaluate: Evaluator | None = None) -> bool:
+             evaluate: CachedEvaluator | None = None) -> bool:
     """Does ``action`` achieve the chair's goal for the distinguished candidate?"""
     won = unique_winner(outcome(instance, action, evaluate), instance.distinguished)
     return won if instance.goal == CONSTRUCTIVE else not won

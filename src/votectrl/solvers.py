@@ -15,10 +15,10 @@ from itertools import combinations, product
 from typing import Callable
 
 from .control import (
-    AddCandidates, AddSet, AddVoters, CandidatePartition, ControlAction,
-    ControlInstance, DeleteCandidates, DeleteSet, DeleteVoters,
+    AddCandidates, AddSet, AddVoters, CachedEvaluator, CandidatePartition,
+    ControlAction, ControlInstance, DeleteCandidates, DeleteSet, DeleteVoters,
     PartitionCandidates, PartitionVoters, RunoffPartitionCandidates,
-    VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, TE, goal_met, shape_of,
+    VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, _survivors, goal_met, shape_of,
 )
 from .core import restrict, unique_winner
 from .errors import BudgetExceeded, WrongSystem
@@ -33,22 +33,6 @@ class Decision:
     witness: ControlAction | None = None
 
 
-class CachedEvaluator:
-    """Memoizing wrapper around a system's winner function."""
-
-    def __init__(self, system: SystemId):
-        self.system = system
-        self._cache: dict = {}
-
-    def __call__(self, cands: frozenset[int], ballots) -> frozenset[int]:
-        key = (cands, ballots)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = raw_winners(self.system, cands, ballots)
-            self._cache[key] = hit
-        return hit
-
-
 def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
                                 budget: int) -> Decision:
     """Voter partitions whose candidate set routes to a voter-anonymous rule.
@@ -57,12 +41,13 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     side 1 matter.  Count vectors (classes) are indexed in mixed radix, in
     ``product`` order over the groups, so the complement of class ``i`` --
     the counts side 2 receives -- is class ``N-1-i``.  Every class's winners
-    are computed once, in one pass, and the final election is evaluated once
-    per distinct (side-1, side-2) survivor pair.  A class's cheapest concrete
-    partition in mask order assigns the lowest ballot indices of each group
-    to side 1, so the winning class with the minimum such representative
-    mask is exactly the canonical first-success witness of the full mask
-    enumeration.
+    are computed once, in one pass, and the final run-off of each distinct
+    (side-1, side-2) survivor pair is looked up in ``evaluate`` by its
+    candidate set, so pairs with the same union share one evaluation.  A
+    class's cheapest concrete partition in mask order assigns the lowest
+    ballot indices of each group to side 1, so the winning class with the
+    minimum such representative mask is exactly the canonical first-success
+    witness of the full mask enumeration.
     """
     groups: dict[tuple, list[int]] = {}
     for i, b in enumerate(instance.ballots):
@@ -90,27 +75,16 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     if counted is not None:
         codes, decode = counted(cands, ballots_of).codes(choices)
     else:
-        codes = [evaluate(cands, tuple(b for b, t in zip(ballots_of, counts)
-                                       for _ in range(t)))
+        codes = [raw_winners(instance.system, cands,
+                             tuple(b for b, t in zip(ballots_of, counts) for _ in range(t)))
                  for counts in product(*choices)]
         decode = frozenset  # the codes are the winner sets themselves
 
-    def survivors(code) -> frozenset[int]:
-        ws = decode(code)
-        return ws if (instance.tie != TE or len(ws) == 1) else frozenset()
-
     want = instance.goal == CONSTRUCTIVE
-    full = instance.ballots
-    final_cache: dict[frozenset[int], bool] = {}
-    won = set()
-    for pair in set(zip(codes, reversed(codes))):
-        final = survivors(pair[0]) | survivors(pair[1])
-        ok = final_cache.get(final)
-        if ok is None:
-            ws = evaluate(final, tuple(restrict(b, final) for b in full))
-            ok = final_cache[final] = unique_winner(ws, instance.distinguished) == want
-        if ok:
-            won.add(pair)
+    won = {pair for pair in set(zip(codes, reversed(codes)))
+           if unique_winner(evaluate(_survivors(instance.tie, decode(pair[0]))
+                                     | _survivors(instance.tie, decode(pair[1]))),
+                            instance.distinguished) == want}
     if not won:
         return Decision(False, None)
 
@@ -124,7 +98,7 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     best = min(mask for mask, a, b in zip(masks, codes, reversed(codes))
                if (a, b) in won)
     return Decision(True, VoterPartition(
-        frozenset(i for i in range(len(full)) if best >> i & 1)))
+        frozenset(i for i in range(len(instance.ballots)) if best >> i & 1)))
 
 
 def brute_force_decide(instance: ControlInstance,
@@ -136,7 +110,7 @@ def brute_force_decide(instance: ControlInstance,
     voter-anonymous rule: both subelections run on that set, and the final
     run-off is evaluated on the real ballot list.
     """
-    evaluate = CachedEvaluator(instance.system)
+    evaluate = CachedEvaluator(instance)
     shape = shape_of(instance)
     if (shape.code == "PV"
             and RULES[route(instance.system, instance.candidates).tag].voter_anonymous):
@@ -235,13 +209,10 @@ def e1_prefix_ccdc_poly(instance: DeleteCandidates) -> Decision:
         return Decision(False, None)
     # ||union|| = k + 1: keep exactly one second-voter blocker d and check
     # whether c still ends up first or second on every ballot
-    remaining_base = instance.candidates - union
     for d in sorted(c2):
-        kept = remaining_base | {d}
-        ws = raw_winners(instance.system, kept,
-                         tuple(restrict(b, kept) for b in instance.ballots))
-        if unique_winner(ws, c):
-            return Decision(True, DeleteSet(union - {d}))
+        action = DeleteSet(union - {d})
+        if goal_met(instance, action):
+            return Decision(True, action)
     return Decision(False, None)
 
 

@@ -1,15 +1,22 @@
+import itertools
+import random
+from dataclasses import replace
+
 import pytest
 
 from votectrl.control import (
-    ALL_TYPE_CODES, AddCandidates, AddSet, AddVoters, AddVoterSet,
-    CandidatePartition, DeleteCandidates, DeleteSet, DeleteVoters,
-    DeleteVoterSet, PartitionCandidates, PartitionVoters,
+    ALL_TYPE_CODES, SHAPES, AddCandidates, AddSet, AddVoters, AddVoterSet,
+    CachedEvaluator, CandidatePartition, DeleteCandidates, DeleteSet,
+    DeleteVoters, DeleteVoterSet, PartitionCandidates, PartitionVoters,
     RunoffPartitionCandidates, VoterPartition,
     CONSTRUCTIVE, DESTRUCTIVE, TE, TP,
-    format_instance, goal_met, outcome, parse_instance, with_goal,
+    format_instance, goal_met, outcome, parse_instance, shape_of, with_goal,
 )
+from votectrl.core import restrict
 from votectrl.errors import BoundViolation, ParseError, ShapeMismatch
-from votectrl.systems import atomic, hybrid
+from votectrl.harness import random_instance
+from votectrl.reductions import GraphInstance, reduce_half_vc
+from votectrl.systems import ATOMIC_TAGS, atomic, hybrid, raw_winners
 
 TWO_WAY = hybrid("e_first", "e_last")
 
@@ -176,6 +183,95 @@ def test_k_zero_is_legal():
     with pytest.raises(ValueError):
         DeleteCandidates(atomic("plurality"), frozenset({0}), 0, ((0,),),
                          -1, CONSTRUCTIVE)
+
+
+# --- outcome against first principles ----------------------------------------
+
+
+def reference_outcome(inst, action):
+    """The final winner set of ``action``, computed without ``control``'s
+    finals: every ballot restricted on its own, voters selected by index,
+    each election passed to ``raw_winners``, nothing memoized."""
+    def elect(cands, ballots):
+        return raw_winners(inst.system, cands, tuple(restrict(b, cands) for b in ballots))
+
+    def survivors(ws):
+        return ws if inst.tie == TP or len(ws) == 1 else frozenset()
+
+    code = shape_of(inst).code
+    if code == "AC":
+        return elect(inst.qualified | action.added, inst.ballots)
+    if code == "DC":
+        return elect(inst.candidates - action.deleted, inst.ballots)
+    if code == "PC":
+        return elect(survivors(elect(action.side1, inst.ballots)) | action.side2,
+                     inst.ballots)
+    if code == "RPC":
+        return elect(survivors(elect(action.side1, inst.ballots))
+                     | survivors(elect(action.side2, inst.ballots)), inst.ballots)
+    if code == "AV":
+        added = tuple(inst.unregistered[i] for i in sorted(action.added))
+        return elect(inst.candidates, inst.registered + added)
+    indices = range(len(inst.ballots))
+    if code == "DV":
+        return elect(inst.candidates,
+                     tuple(inst.ballots[i] for i in indices if i not in action.deleted))
+    v1 = tuple(inst.ballots[i] for i in indices if i in action.side1)
+    v2 = tuple(inst.ballots[i] for i in indices if i not in action.side1)
+    return elect(survivors(elect(inst.candidates, v1))
+                 | survivors(elect(inst.candidates, v2)), inst.ballots)
+
+
+# the 13 rules, the three hybrids of the random-mix benchmark workload and a
+# hybrid with an order-reading constituent
+DIFFERENTIAL_SYSTEMS = tuple(atomic(t) for t in ATOMIC_TAGS) + (
+    hybrid("plurality", "condorcet", "not_all_one"), hybrid("e_first", "e_last"),
+    hybrid("e0_solo", "e1_prefix"), hybrid("not_all_one", "e1_prefix"))
+
+
+def _differential_instances():
+    rng = random.Random(6)
+    for sid, shape, goal in itertools.product(
+            DIFFERENTIAL_SYSTEMS, SHAPES, (CONSTRUCTIVE, DESTRUCTIVE)):
+        inst = random_instance(rng, shape, goal, sid, tie=rng.choice((TE, TP)),
+                               max_voters=4)
+        yield inst
+        # the same ballots twice over: every ballot repeats, interleaved
+        profiles = shape_of(inst).profiles
+        yield replace(inst, **{p: getattr(inst, p) * 2 for p in profiles})
+    # half-cover gadgets: one filler ballot repeated around the edge ballots
+    graphs = [GraphInstance(range(4), edges) for edges in (
+        (), ((0, 1),), ((0, 1), (2, 3)), ((0, 1), (1, 2), (2, 3)),
+        ((0, 1), (0, 2), (0, 3)), tuple(itertools.combinations(range(4), 2)))]
+    for g, target in itertools.product(graphs, ("CCPC", "DCDC", "DCPC", "DCRPC")):
+        yield reduce_half_vc(g, target)
+
+
+def test_outcome_matches_first_principles_on_every_action():
+    checked = set()
+    for inst in _differential_instances():
+        shared = CachedEvaluator(inst)
+        for action in shape_of(inst).actions(inst)[1]:
+            want = reference_outcome(inst, action)
+            assert outcome(inst, action) == want, (inst, action)
+            assert outcome(inst, action, shared) == want, (inst, action)
+        checked.add((inst.system, shape_of(inst).code))
+    # every (system, shape) pair of the draws, and the gadgets' four
+    assert len(checked) == len(DIFFERENTIAL_SYSTEMS) * len(SHAPES) + 4
+
+
+def test_outcome_refuses_another_instances_evaluator():
+    inst = DeleteCandidates(atomic("e1_prefix"), frozenset({0, 1, 2}), 0,
+                            ((1, 2, 0), (2, 0, 1)), 2, CONSTRUCTIVE)
+    other = replace(inst, ballots=((0, 2, 1), (2, 0, 1)))
+    action = DeleteSet(frozenset({1}))
+    # an equal copy of the instance may share its memo
+    assert outcome(inst, action, CachedEvaluator(replace(inst))) == {2}
+    assert reference_outcome(other, action) == {0}
+    with pytest.raises(ValueError):
+        outcome(inst, action, CachedEvaluator(other))
+    with pytest.raises(ValueError):
+        goal_met(inst, action, CachedEvaluator(other))
 
 
 # --- text format -------------------------------------------------------------

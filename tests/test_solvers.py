@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from dataclasses import replace
@@ -11,6 +12,7 @@ from votectrl.control import (
     RunoffPartitionCandidates, VoterPartition,
     CONSTRUCTIVE, DESTRUCTIVE, TE, TP, goal_met,
 )
+from votectrl.core import restrict
 from votectrl.errors import BudgetExceeded, WrongSystem
 from votectrl.control import SHAPES as _SHAPES
 from votectrl.harness import RenamingMap, embed_rename, random_instance
@@ -98,12 +100,28 @@ def test_decisions_are_deterministic():
 
 
 def naive_partition_voters(instance):
-    evaluate = CachedEvaluator(instance.system)
-    n = len(instance.ballots)
+    """Every voter partition in ascending mask order.  Each election is
+    computed here by ``raw_winners``, on ballots selected by index and
+    restricted one by one; repeated elections are looked up by their input."""
+    sid, cands, ballots = instance.system, instance.candidates, instance.ballots
+    n = len(ballots)
+
+    @functools.cache
+    def survivors(side):
+        ws = raw_winners(sid, cands, side)
+        return ws if instance.tie == TP or len(ws) == 1 else frozenset()
+
+    @functools.cache
+    def runoff(final):
+        return raw_winners(sid, final, tuple(restrict(b, final) for b in ballots))
+
+    want = instance.goal == CONSTRUCTIVE
     for mask in range(2 ** n):
-        action = VoterPartition(frozenset(i for i in range(n) if mask >> i & 1))
-        if goal_met(instance, action, evaluate):
-            return Decision(True, action)
+        v1 = tuple(b for i, b in enumerate(ballots) if mask >> i & 1)
+        v2 = tuple(b for i, b in enumerate(ballots) if not mask >> i & 1)
+        if (runoff(survivors(v1) | survivors(v2)) == {instance.distinguished}) == want:
+            return Decision(True, VoterPartition(
+                frozenset(i for i in range(n) if mask >> i & 1)))
     return Decision(False, None)
 
 
@@ -120,7 +138,7 @@ def test_anonymous_voter_partition_matches_naive_enumeration(data):
     inst = PartitionVoters(sid, cands, data.draw(st.sampled_from(order)),
                            ballots, data.draw(st.sampled_from((TE, TP))),
                            data.draw(st.sampled_from((CONSTRUCTIVE, DESTRUCTIVE))))
-    fast = _partition_voters_anonymous(inst, CachedEvaluator(sid), 2 ** 24)
+    fast = _partition_voters_anonymous(inst, CachedEvaluator(inst), 2 ** 24)
     assert fast == naive_partition_voters(inst)
 
 
@@ -131,7 +149,7 @@ def _goal_and_tie_variants(inst):
 
 
 def _assert_matches_naive(inst):
-    fast = _partition_voters_anonymous(inst, CachedEvaluator(inst.system), 2 ** 24)
+    fast = _partition_voters_anonymous(inst, CachedEvaluator(inst), 2 ** 24)
     assert fast == naive_partition_voters(inst), inst
 
 
