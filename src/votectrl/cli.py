@@ -13,13 +13,13 @@ import sys
 from . import harness, reductions, solvers
 from .control import (
     AddSet, AddVoterSet, CandidatePartition, DeleteSet, DeleteVoterSet,
-    VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, SHAPES, TE, TP,
+    VoterPartition, ALL_TYPE_CODES, CONSTRUCTIVE, DESTRUCTIVE, SHAPES, SPECS, TE, TP,
     format_instance, parse_instance,
 )
 from .core import parse_election
 from .errors import BudgetExceeded, ParseError, ReplayMismatch, VotectrlError
 from .solvers import poly_decide
-from .systems import RULES, atomic, hybrid, parse_system, winners
+from .systems import RULES, atomic, parse_system, winners
 
 DEFAULT_SEED = 2024
 
@@ -81,32 +81,17 @@ def cmd_decide(args) -> int:
     return 0
 
 
-_X3C_TO = {"DCDV": "DCDV", "DCAV": "DCAV", "DCPV": "DCPV", "DCPV-TE": "DCPV"}
-_EHVC_TO = ("CCPC", "DCDC", "DCPC", "DCRPC")
-
-
 def _build_reduction(args):
-    text = _read(args.input)
-    frm, to = args.source, args.to.upper()
-    if frm == "x3c":
-        if to not in _X3C_TO:
-            raise ParseError(f"x3c reduces to one of {sorted(set(_X3C_TO))}")
-        src = reductions.parse_x3c(text)
-        return src, reductions.reduce_x3c(src, _X3C_TO[to])
-    src = reductions.parse_graph(text)
-    if frm == "vc":
-        if to != "CCDC":
-            raise ParseError("vc reduces to CCDC")
-        if args.k is None:
-            raise ParseError("vc reduction needs --k")
-        return src, reductions.reduce_vc_to_ccdc(src, args.k)
-    if frm == "ohvc":
-        if to != "CCRPC":
-            raise ParseError("ohvc reduces to CCRPC")
-        return src, reductions.reduce_half_vc(src, "CCRPC")
-    if to not in _EHVC_TO:
-        raise ParseError(f"ehvc reduces to one of {_EHVC_TO}")
-    return src, reductions.reduce_half_vc(src, to)
+    """Parse ``--input`` and build the ``--to`` target, or the source's first.
+    A partition target, built under TE, may also be spelled ``<T>-TE``."""
+    parse, _, build, _, targets = reductions.SOURCES[args.source]
+    spellings = {t: t for t in targets}
+    spellings.update((t + "-TE", t) for t in targets if SPECS[t[2:]].has_tie)
+    to = targets[0] if args.to is None else args.to.upper()
+    if to not in spellings:
+        raise ParseError(f"{args.source} reduces to one of {', '.join(spellings)}")
+    source = parse(_read(args.input))
+    return source, build(source, spellings[to], args.k)
 
 
 def cmd_reduce(args) -> int:
@@ -147,6 +132,13 @@ def cmd_anonymity(args) -> int:
     return 0
 
 
+# suite agreement checks every polynomial decider on instances drawn with
+# these systems for the hybrid tags, of at most (candidates, voters) by tag
+_AGREEMENT_SYSTEMS = {"hybrid": "hybrid:e_first,e_last",
+                      "hybrid_base": "hybrid_base:e_first,e_last;default=plurality"}
+_AGREEMENT_SIZES = {"e1_prefix": (5, 4), "e1_tri": (4, 4), "e1_tri_even": (4, 2)}
+
+
 def cmd_suite(args) -> int:
     if args.suite == "replay":
         try:
@@ -177,23 +169,15 @@ def cmd_suite(args) -> int:
         print(f"{verdict} inheritance {args.trials - bad}/{args.trials}")
         return 0 if bad == 0 else 1
 
-    # agreement: sampled polynomial-vs-brute-force checks; each trial draws
-    # one instance per (shape, goal, system, max candidates, max voters)
-    # case, and a case without a goal draws one
-    cases = [("AC", None, hybrid("e_first", "e_last"), 4, 3),
-             ("DC", CONSTRUCTIVE, atomic("e1_prefix"), 5, 4),
-             ("RPC", CONSTRUCTIVE, atomic("e1_tri"), 4, 4),
-             ("PC", CONSTRUCTIVE, atomic("e1_tri_even"), 4, 2)]
-    cases += [(shape, DESTRUCTIVE, atomic(tag), 4, 3)
-              for tag in ("e0_dfirst", "e1_second") for shape in ("DC", "PC", "RPC")]
     bad = checked = 0
     for _ in range(args.trials):
-        for shape, goal, sid, max_candidates, max_voters in cases:
+        for (shape, goal, tag), decider in solvers.POLY_DECIDERS.items():
+            max_candidates, max_voters = _AGREEMENT_SIZES.get(tag, (4, 3))
             inst = harness.random_instance(
-                rng, shape, goal or rng.choice((CONSTRUCTIVE, DESTRUCTIVE)), sid,
+                rng, shape, goal, parse_system(_AGREEMENT_SYSTEMS.get(tag, tag)),
                 max_candidates=max_candidates, max_voters=max_voters)
             checked += 1
-            if poly_decide(inst).answer != solvers.brute_force_decide(inst).answer:
+            if decider(inst).answer != solvers.brute_force_decide(inst).answer:
                 bad += 1
                 print(f"disagreement on {inst!r}")
     verdict = "PASS" if bad == 0 else "FAIL"
@@ -208,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="votectrl",
         description="Election systems, electoral control, and hardness gadgets.",
         epilog=systems_help
-        + " | control types: CCAC CCDC CCPC CCRPC CCAV CCDV CCPV and DC*"
-        + " counterparts; partition types take 'tie TE|TP'")
+        + " | control types: " + " ".join(ALL_TYPE_CODES)
+        + "; partition types take 'tie TE|TP'")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"seed for randomized suites (default {DEFAULT_SEED})")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -228,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("reduce", cmd_reduce), ("verify", cmd_verify)):
         p = sub.add_parser(name, help=f"{name} a source instance")
         p.add_argument("--from", dest="source", required=True,
-                       choices=("x3c", "vc", "ohvc", "ehvc"))
-        p.add_argument("--to", required=(name == "reduce"), default="")
+                       choices=tuple(reductions.SOURCES))
+        p.add_argument("--to", required=(name == "reduce"))
         p.add_argument("--input", required=True)
         p.add_argument("--k", type=int, default=None)
         if name == "reduce":
@@ -254,9 +238,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "command", None) == "verify" and not args.to:
-        defaults = {"x3c": "DCDV", "vc": "CCDC", "ohvc": "CCRPC", "ehvc": "CCPC"}
-        args.to = defaults[args.source]
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -5,7 +5,8 @@ ids are the smallest naturals above the used range (with the parities the
 hybrid routing needs), vertex relabeling is by ascending original id, and
 every "remaining candidates in some arbitrary order" tail is ascending.
 ``verify_reduction`` checks the answer-preservation of a single instance by
-running brute-force oracles on both sides.
+running brute-force oracles on both sides.  ``SOURCES`` is the one list of
+which gadgets exist, by source problem.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ def _ballot(prefix: Iterable[int], universe: frozenset[int]) -> Ballot:
     return head + tuple(sorted(universe - frozenset(head)))
 
 
-X3C_TARGETS = ("DCDV", "DCAV", "DCPV")
-
-
 def reduce_x3c(instance: X3CInstance, target: str) -> ControlInstance:
     """Destructive voter control on the not-all-one rule, from exact cover.
 
@@ -185,9 +183,6 @@ def reduce_vc_to_ccdc(g: GraphInstance, k: int) -> ControlInstance:
     return DeleteCandidates(system, cands, 0, tuple(ballots), k, CONSTRUCTIVE)
 
 
-HALF_VC_TARGETS = ("CCRPC", "CCPC", "DCDC", "DCPC", "DCRPC")
-
-
 def reduce_half_vc(g: GraphInstance, target: str) -> ControlInstance:
     """Odd/Even Half Vertex Cover into candidate control on a two-way hybrid."""
     if target not in HALF_VC_TARGETS:
@@ -243,17 +238,12 @@ class ReductionReport:
 
 
 def source_answer(source, target: ControlInstance) -> bool:
-    """Run the oracle matching the source problem / target construction."""
-    if isinstance(source, X3CInstance):
-        return x3c_oracle(source)
-    if isinstance(source, GraphInstance):
-        if target.type_code == "CCDC":
-            return vc_oracle(source, target.limit)
-        n = len(source.vertices)
-        if target.type_code == "CCRPC":
-            return odd_half_vc_oracle(source) if n % 2 else even_half_vc_oracle(source)
-        return even_half_vc_oracle(source)
-    raise InvariantViolation(f"unknown source instance {type(source).__name__}")
+    """Run the oracle of the source problem whose gadget builds this target."""
+    for _, kind, _, oracle, targets in SOURCES.values():
+        if isinstance(source, kind) and target.type_code in targets:
+            return oracle(source, target)
+    raise InvariantViolation(
+        f"no {type(source).__name__} gadget builds a {target.type_code} instance")
 
 
 def verify_reduction(source, target: ControlInstance) -> ReductionReport:
@@ -325,7 +315,35 @@ def parse_graph(text: str) -> GraphInstance:
 
 
 def format_graph(g: GraphInstance) -> str:
-    lines = ["vertices " + " ".join(map(str, sorted(g.vertices)))]
+    # a lone id would read back as a vertex count, so it is written twice
+    ids = sorted(g.vertices) * (2 if len(g.vertices) == 1 else 1)
+    lines = ["vertices " + " ".join(map(str, ids))]
     lines += ["edge " + " ".join(map(str, sorted(e))) for e in sorted(
         g.edges, key=lambda e: sorted(e))]
     return "\n".join(lines) + "\n"
+
+
+# --- the reduction table ---------------------------------------------------
+
+
+def _reduce_vc(g: GraphInstance, target: str, k: int | None) -> ControlInstance:
+    if k is None:
+        raise InvariantViolation("vc reduction needs a cover bound k (--k)")
+    return reduce_vc_to_ccdc(g, k)
+
+
+# source problem -> (parser, source class, builder(source, target code, k),
+# oracle(source, target instance), target codes).  The first target is the
+# default; every partition target is built under TE.
+SOURCES = {
+    "x3c": (parse_x3c, X3CInstance, lambda x, target, k: reduce_x3c(x, target),
+            lambda x, inst: x3c_oracle(x), ("DCDV", "DCAV", "DCPV")),
+    "vc": (parse_graph, GraphInstance, _reduce_vc,
+           lambda g, inst: vc_oracle(g, inst.limit), ("CCDC",)),
+    "ohvc": (parse_graph, GraphInstance, lambda g, target, k: reduce_half_vc(g, target),
+             lambda g, inst: odd_half_vc_oracle(g), ("CCRPC",)),
+    "ehvc": (parse_graph, GraphInstance, lambda g, target, k: reduce_half_vc(g, target),
+             lambda g, inst: even_half_vc_oracle(g), ("CCPC", "DCDC", "DCPC", "DCRPC")),
+}
+X3C_TARGETS = SOURCES["x3c"][4]
+HALF_VC_TARGETS = SOURCES["ohvc"][4] + SOURCES["ehvc"][4]

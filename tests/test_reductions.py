@@ -2,7 +2,8 @@ import pytest
 
 from votectrl.control import (
     AddVoters, DeleteCandidates, DeleteVoters, PartitionCandidates,
-    PartitionVoters, RunoffPartitionCandidates, CONSTRUCTIVE, DESTRUCTIVE, TE,
+    PartitionVoters, RunoffPartitionCandidates, CONSTRUCTIVE, DESTRUCTIVE, SHAPES,
+    SPECS, TE,
 )
 from votectrl.errors import (
     InvariantViolation, ParityViolation, ParseError, TooManyEdges,
@@ -11,8 +12,9 @@ from votectrl.reductions import (
     GraphInstance, X3CInstance, even_half_vc_oracle, format_graph, format_x3c,
     odd_half_vc_oracle, parse_graph, parse_x3c, reduce_half_vc, reduce_vc_to_ccdc,
     reduce_x3c, source_answer, vc_exact_oracle, vc_oracle, verify_reduction,
-    x3c_oracle, X3C_TARGETS, HALF_VC_TARGETS,
+    x3c_oracle, SOURCES, X3C_TARGETS, HALF_VC_TARGETS,
 )
+from votectrl.solvers import POLY_DECIDERS
 
 COVERABLE = X3CInstance(range(1, 7), [{1, 2, 3}, {4, 5, 6}, {2, 3, 4}])
 UNCOVERABLE = X3CInstance(range(1, 7), [{1, 2, 3}, {2, 3, 4}, {3, 4, 5}])
@@ -100,6 +102,7 @@ def test_dcpv_shape():
 
 
 def test_x3c_equivalence_on_the_fixtures():
+    assert X3C_TARGETS == ("DCDV", "DCAV", "DCPV")  # the benchmark's x3c-voter order
     for x3c in (COVERABLE, UNCOVERABLE):
         for target in X3C_TARGETS:
             report = verify_reduction(x3c, reduce_x3c(x3c, target))
@@ -185,6 +188,60 @@ def test_source_answer_dispatch():
     assert source_answer(TRIANGLE, reduce_vc_to_ccdc(TRIANGLE, 2))
     assert source_answer(TRIANGLE, reduce_half_vc(TRIANGLE, "CCRPC"))
     assert source_answer(EDGE, reduce_half_vc(EDGE, "DCPC")) == even_half_vc_oracle(EDGE)
+
+
+def test_source_answer_refuses_a_target_the_source_cannot_build():
+    with pytest.raises(InvariantViolation):
+        source_answer(EDGE, reduce_x3c(COVERABLE, "DCDV"))
+    with pytest.raises(InvariantViolation):
+        source_answer(COVERABLE, reduce_half_vc(EDGE, "DCPC"))
+    with pytest.raises(InvariantViolation):
+        source_answer(COVERABLE, reduce_vc_to_ccdc(TRIANGLE, 2))
+
+
+def coverage():
+    """Each of the twenty control types -> (sources with a verified gadget
+    for it, rule tags with a polynomial decider for it).  Every partition
+    gadget is built under TE."""
+    rows = {}
+    for prefix, goal in (("CC", CONSTRUCTIVE), ("DC", DESTRUCTIVE)):
+        for shape in SHAPES:
+            for tie in ("-TE", "-TP") if SPECS[shape].has_tie else ("",):
+                code = prefix + shape
+                gadgets = tuple(name for name, entry in SOURCES.items()
+                                if code in entry[4] and tie != "-TP")
+                tags = tuple(t for s, g, t in POLY_DECIDERS if (s, g) == (shape, goal))
+                rows[code + tie] = (gadgets, tags)
+    return rows
+
+
+HYBRIDS = ("hybrid", "hybrid_base")
+DESTRUCTIVE_TAGS = ("e0_dfirst", "e1_second")
+
+
+def test_coverage_of_the_twenty_control_types():
+    assert coverage() == {
+        "CCAC": ((), HYBRIDS),
+        "CCDC": (("vc",), ("e1_prefix",)),
+        "CCPC-TE": (("ehvc",), ("e1_tri_even",)),
+        "CCPC-TP": ((), ("e1_tri_even",)),
+        "CCRPC-TE": (("ohvc",), ("e1_tri",)),
+        "CCRPC-TP": ((), ("e1_tri",)),
+        "CCAV": ((), HYBRIDS),
+        "CCDV": ((), HYBRIDS),
+        "CCPV-TE": ((), ()),
+        "CCPV-TP": ((), ()),
+        "DCAC": ((), HYBRIDS),
+        "DCDC": (("ehvc",), DESTRUCTIVE_TAGS),
+        "DCPC-TE": (("ehvc",), DESTRUCTIVE_TAGS),
+        "DCPC-TP": ((), DESTRUCTIVE_TAGS),
+        "DCRPC-TE": (("ehvc",), DESTRUCTIVE_TAGS),
+        "DCRPC-TP": ((), DESTRUCTIVE_TAGS),
+        "DCAV": (("x3c",), HYBRIDS),
+        "DCDV": (("x3c",), HYBRIDS),
+        "DCPV-TE": (("x3c",), ()),
+        "DCPV-TP": ((), ()),
+    }
 
 
 # --- text formats ---------------------------------------------------------------
