@@ -12,7 +12,7 @@ the shape reads it from one table, ``SPECS``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Callable, Iterator, Sequence, Union
 
@@ -315,11 +315,18 @@ def _partition_voters(instance, action, evaluate):
 # lexicographically, partitions by binary mask, ascending.
 
 
-def _subsets(make: type, pool: Sequence[int], max_size: int) -> tuple[int, Iterator]:
-    """Actions ``make(subset)`` over the subsets of a sorted pool."""
+def _subsets(pool: Sequence, max_size: int) -> tuple[int, Iterator[tuple]]:
+    """The subsets of at most ``max_size`` items of a pool, as tuples in
+    canonical order: by size, then lexicographically by pool position."""
     sizes = range(min(max_size, len(pool)) + 1)
     return (sum(comb(len(pool), s) for s in sizes),
-            (make(frozenset(combo)) for s in sizes for combo in combinations(pool, s)))
+            chain.from_iterable(combinations(pool, s) for s in sizes))
+
+
+def _subset_actions(make: type, pool: Sequence[int], max_size: int) -> tuple[int, Iterator]:
+    """Actions ``make(subset)`` over the subsets of a sorted pool."""
+    count, subsets = _subsets(pool, max_size)
+    return count, map(make, subsets)
 
 
 def _sides(order: Sequence[int]) -> tuple[int, Iterator[frozenset[int]]]:
@@ -330,14 +337,14 @@ def _sides(order: Sequence[int]) -> tuple[int, Iterator[frozenset[int]]]:
 
 
 def _add_sets(instance):
-    return _subsets(AddSet, sorted(instance.spoilers), len(instance.spoilers))
+    return _subset_actions(AddSet, sorted(instance.spoilers), len(instance.spoilers))
 
 
 def _delete_sets(instance):
     pool = sorted(instance.candidates)
     if instance.goal == DESTRUCTIVE:
         pool.remove(instance.distinguished)
-    return _subsets(DeleteSet, pool, instance.limit)
+    return _subset_actions(DeleteSet, pool, instance.limit)
 
 
 def _candidate_partitions(instance):
@@ -347,11 +354,11 @@ def _candidate_partitions(instance):
 
 
 def _add_voter_sets(instance):
-    return _subsets(AddVoterSet, range(len(instance.unregistered)), instance.limit)
+    return _subset_actions(AddVoterSet, range(len(instance.unregistered)), instance.limit)
 
 
 def _delete_voter_sets(instance):
-    return _subsets(DeleteVoterSet, range(len(instance.ballots)), instance.limit)
+    return _subset_actions(DeleteVoterSet, range(len(instance.ballots)), instance.limit)
 
 
 def _voter_partitions(instance):

@@ -332,17 +332,26 @@ def _reduce_vc(g: GraphInstance, target: str, k: int | None) -> ControlInstance:
     return reduce_vc_to_ccdc(g, k)
 
 
+def _without_k(reduce):
+    """The builder of a source whose gadgets take no cover bound."""
+    def build(source, target: str, k: int | None) -> ControlInstance:
+        if k is not None:
+            raise InvariantViolation("only vc takes a cover bound k (--k)")
+        return reduce(source, target)
+    return build
+
+
 # source problem -> (parser, source class, builder(source, target code, k),
 # oracle(source, target instance), target codes).  The first target is the
 # default; every partition target is built under TE.
 SOURCES = {
-    "x3c": (parse_x3c, X3CInstance, lambda x, target, k: reduce_x3c(x, target),
+    "x3c": (parse_x3c, X3CInstance, _without_k(reduce_x3c),
             lambda x, inst: x3c_oracle(x), ("DCDV", "DCAV", "DCPV")),
     "vc": (parse_graph, GraphInstance, _reduce_vc,
            lambda g, inst: vc_oracle(g, inst.limit), ("CCDC",)),
-    "ohvc": (parse_graph, GraphInstance, lambda g, target, k: reduce_half_vc(g, target),
+    "ohvc": (parse_graph, GraphInstance, _without_k(reduce_half_vc),
              lambda g, inst: odd_half_vc_oracle(g), ("CCRPC",)),
-    "ehvc": (parse_graph, GraphInstance, lambda g, target, k: reduce_half_vc(g, target),
+    "ehvc": (parse_graph, GraphInstance, _without_k(reduce_half_vc),
              lambda g, inst: even_half_vc_oracle(g), ("CCPC", "DCDC", "DCPC", "DCRPC")),
 }
 X3C_TARGETS = SOURCES["x3c"][4]

@@ -1,24 +1,35 @@
 """Decision procedures for control instances.
 
-``brute_force_decide`` is the ground truth: it enumerates every legal chair
+``brute_force_decide`` is the ground truth: it tries every legal chair
 action in a fixed canonical order (subsets by size then lexicographically;
 partitions by binary mask, ascending) and reports the first action that
-meets the goal.  The remaining functions are the polynomial-time deciders
-for the specific system/control-type pairs that admit them; each is checked
-against the brute force in the test suite.
+meets the goal.  Three shapes take a faster path that reports the same
+answer and witness when the instance's full candidate set routes to a rule
+that allows it:
+
+- adding (AV) and deleting (DV) voters keep the candidate set, so when the
+  routed rule has a counted form every subset's election is one running
+  packed sum, classified by that form, instead of a rebuilt ballot list;
+- partitioning voters (PV) groups identical ballots into count classes when
+  the routed rule is voter-anonymous, and decides once per distinct pair of
+  subelection survivor sets.
+
+The remaining functions are the polynomial-time deciders for the specific
+system/control-type pairs that admit them; each is checked against the
+brute force in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable
 
 from .control import (
     AddCandidates, AddSet, AddVoters, CachedEvaluator, CandidatePartition,
     ControlAction, ControlInstance, DeleteCandidates, DeleteSet, DeleteVoters,
-    PartitionCandidates, PartitionVoters, RunoffPartitionCandidates,
-    VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, _survivors, goal_met, shape_of,
+    PartitionCandidates, PartitionVoters, RunoffPartitionCandidates, Shape,
+    VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, _subsets, _survivors, goal_met, shape_of,
 )
 from .core import restrict, unique_winner
 from .errors import BudgetExceeded, WrongSystem
@@ -101,20 +112,72 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
         frozenset(i for i in range(len(instance.ballots)) if best >> i & 1)))
 
 
+def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, counted: type,
+                    budget: int) -> Decision:
+    """Adding or deleting voters under a routed rule with a counted form.
+
+    The chosen subsets come in the canonical order of ``_subsets``, as
+    tuples of packed units, one unit per pool ballot.  A subset's election
+    packs to the registered ballots plus its units (adding) or to all the
+    ballots minus its units (deleting), so each costs one sum; the counted
+    form classifies these sums a chunk at a time, and the first sum whose
+    winner code meets the goal names the witness by its position.
+    """
+    adding = shape.code == "AV"
+    pool = instance.unregistered if adding else instance.ballots
+    fixed = instance.registered if adding else ()
+    distinct = tuple(dict.fromkeys(fixed + pool))
+    units, classify, decode = counted(instance.candidates, distinct).pack(
+        len(fixed) + instance.limit if adding else len(pool))
+    unit_of = dict(zip(distinct, units))
+    pool_units = [unit_of[b] for b in pool]
+    count, chosen = _subsets(pool_units, instance.limit)
+    if count > budget:
+        raise BudgetExceeded(f"{count} {shape.code} actions exceed budget {budget}")
+    if adding:
+        packed = map(sum(map(unit_of.__getitem__, fixed)).__add__, map(sum, chosen))
+    else:
+        packed = map(sum(pool_units).__sub__, map(sum, chosen))
+
+    want = instance.goal == CONSTRUCTIVE
+    # chunks double from 16 sums up to 4,096: a witness among the first
+    # subsets costs little, and memory stays bounded on a long search
+    done, size = 0, 16
+    while chunk := list(islice(packed, size)):
+        codes = classify(chunk)
+        good = [x for x in set(codes)
+                if unique_winner(decode(x), instance.distinguished) == want]
+        if good:
+            first = done + min(map(codes.index, good))
+            _, subsets = _subsets(range(len(pool)), instance.limit)
+            witness = next(islice(subsets, first, None))
+            return Decision(True, shape.action(frozenset(witness)))
+        done += len(chunk)
+        size = min(2 * size, 4096)
+    return Decision(False, None)
+
+
 def brute_force_decide(instance: ControlInstance,
                        budget: int = DEFAULT_BUDGET) -> Decision:
     """Exhaustively search all legal chair actions for the instance's goal.
 
-    Voter partitions take the count-class search, which gives the same
-    canonical witness, when the full candidate set routes to a
+    Every path gives the canonical first-success witness.  Adding and
+    deleting voters take ``_voters_counted`` when the full candidate set,
+    which they never change, routes to a rule with a counted form.  Voter
+    partitions take the count-class search when it routes to a
     voter-anonymous rule: both subelections run on that set, and the final
-    run-off is evaluated on the real ballot list.
+    run-off is evaluated on the real ballot list.  Everything else, and
+    these shapes under other rules, tries the actions one by one.
     """
-    evaluate = CachedEvaluator(instance)
     shape = shape_of(instance)
-    if (shape.code == "PV"
-            and RULES[route(instance.system, instance.candidates).tag].voter_anonymous):
-        return _partition_voters_anonymous(instance, evaluate, budget)
+    if shape.code in ("AV", "DV", "PV"):
+        # voter control runs its (sub)elections on the full candidate set
+        rule = RULES[route(instance.system, instance.candidates).tag]
+        if shape.code == "PV" and rule.voter_anonymous:
+            return _partition_voters_anonymous(instance, CachedEvaluator(instance), budget)
+        if shape.code != "PV" and rule.counted is not None:
+            return _voters_counted(instance, shape, rule.counted, budget)
+    evaluate = CachedEvaluator(instance)
     count, actions = shape.actions(instance)
     if count > budget:
         raise BudgetExceeded(f"{count} {shape.code} actions exceed budget {budget}")

@@ -254,9 +254,11 @@ class NotAllOneCounted:
 
     ``groups`` lists the distinct ballots; a count vector says how many
     copies of each the multiset holds.  Calling the object on one count
-    vector returns that multiset's winner set, and ``codes`` evaluates a
-    whole product of count choices at once.  Both run the same packed
-    kernel, so the per-vector and the batch form cannot disagree.
+    vector returns that multiset's winner set, ``codes`` evaluates a whole
+    product of count choices at once, and ``pack`` gives the packed units
+    and the classifier that a caller summing its own multisets uses.  All
+    three run the one packed kernel built by ``pack``, so they cannot
+    disagree.
     """
 
     def __init__(self, cands: frozenset[int], groups: tuple[Ballot, ...]):
@@ -269,58 +271,88 @@ class NotAllOneCounted:
         codes, decode = self.codes([(t,) for t in counts])
         return decode(codes[0])
 
-    def codes(self, choices: Sequence[Sequence[int]]):
-        """Winner codes of every count vector in ``product(*choices)``, in order.
+    def pack(self, n: int):
+        """The packing for multisets of at most ``n`` ballots.
 
-        Returns the code list and the function mapping a code to its winner
-        set.  Each vector is packed into one int: m tally fields (top-choice
-        counts), m score fields (top-four counts), then the ballot total.
-        Every field is w = k + 1 bits wide, where 2**k exceeds the largest
-        total n.  Doubling the tallies and adding 2**k - 1 - total to each
-        field sets a field's guard bit k exactly when 2 * tally > total, with
-        no carry between fields, so one addition runs the majority test for
-        every candidate.  That guard bit (a strict majority is unique) is
-        the class's code, unless the blocking clause -- every other
-        candidate scores exactly one -- holds; that is one masked compare of
-        the score fields.  Code 0 means no winner.
+        Returns ``(units, classify, decode)``.  ``units[g]`` is one copy of
+        group g packed into one int: m tally fields (top-choice counts), m
+        score fields (top-four counts), then the ballot total.  A multiset
+        packs to the sum of its copies' units.  ``classify`` maps a list of
+        packed multisets to their winner codes, and ``decode`` a code to its
+        winner set; code 0 means no winner.
+
+        Every field is w = k + 1 bits wide, where 2**k exceeds n.  Doubling
+        the tallies and adding 2**k - 1 - total to each field sets a field's
+        guard bit k exactly when 2 * tally > total, with no carry between
+        fields, so one addition runs the majority test for every candidate.
+        That guard bit (a strict majority is unique) is the multiset's code,
+        unless the blocking clause -- every other candidate scores exactly
+        one -- holds; that is one masked compare of the score fields.
         """
         m = len(self.order)
-        n = sum(max(choice) for choice in choices)
         k = n.bit_length()
         w = k + 1
         sh = w * m       # offset of the score fields
         tot = 2 * sh     # offset of the total
-        vals = [0]
-        for top, top4, choice in zip(self.tops, self.top4s, choices):
-            unit = (1 << w * top) + sum(1 << sh + w * q for q in top4) + (1 << tot)
-            steps = [t * unit for t in choice]
-            vals = [v + step for v in vals for step in steps]
-
+        units = [(1 << w * top) + sum(1 << sh + w * q for q in top4) + (1 << tot)
+                 for top, top4 in zip(self.tops, self.top4s)]
         fields = sum(1 << w * p for p in range(m))
         high = fields << k
         bias = [((1 << k) - 1 - t) * fields for t in range(n + 1)]
-        hits = [((v << 1) + bias[v >> tot]) & high for v in vals]
         decode = {0: frozenset()}
         for p, c in enumerate(self.order):
             decode[1 << w * p + k] = frozenset({c})
-        if m == 1:
-            # the blocking clause ranges over the other candidates; with
-            # none, a lone majority candidate wins
-            return hits, decode.__getitem__
         ones = fields << sh
         others = {1 << w * p + k: (fields ^ 1 << w * p) * ((1 << w) - 1) << sh
                   for p in range(m)}
-        codes = [h if h and (v ^ ones) & others[h] else 0
-                 for v, h in zip(vals, hits)]
-        return codes, decode.__getitem__
+
+        def classify(vals: list[int]) -> list[int]:
+            hits = [((v << 1) + bias[v >> tot]) & high for v in vals]
+            if m == 1:
+                # the blocking clause ranges over the other candidates; with
+                # none, a lone majority candidate wins
+                return hits
+            return [h if h and (v ^ ones) & others[h] else 0
+                    for v, h in zip(vals, hits)]
+
+        return units, classify, decode.__getitem__
+
+    def codes(self, choices: Sequence[Sequence[int]]):
+        """Winner codes of every count vector in ``product(*choices)``, in order.
+
+        Returns the code list and the function mapping a code to its winner
+        set (see ``pack``).
+        """
+        units, classify, decode = self.pack(sum(max(choice) for choice in choices))
+        vals = [0]
+        for unit, choice in zip(units, choices):
+            steps = [t * unit for t in choice]
+            vals = [v + step for v in vals for step in steps]
+        return classify(vals), decode
 
 
 @dataclass(frozen=True, slots=True)
 class Rule:
     """An atomic rule: its winner function, whether it ignores ballot order
     (``voter_anonymous``) and elects at most one (``tie_free``), and its
-    counts-based form over (candidates, distinct ballots), or None.  The
-    counted form is an optimization and must agree with ``winners``."""
+    counts-based form over (candidates, distinct ballots), or None.
+
+    The counted form is an optimization and must agree with ``winners`` on
+    every multiset of the distinct ballots, which makes sense only for a
+    voter-anonymous rule.  ``counted(cands, groups)`` builds it once per
+    candidate set and list of distinct ballots; the solvers then use it in
+    two ways:
+
+    - ``codes(choices)`` evaluates every count vector in ``product(*choices)``
+      and returns ``(codes, decode)``, the codes in product order.  Voter
+      partition classifies all its count classes this way.
+    - ``pack(n)`` returns ``(units, classify, decode)`` for multisets of at
+      most ``n`` ballots: one packed int per distinct ballot, whose sums
+      pack multisets, and the classifier of a list of such sums.  Adding and
+      deleting voters carry one running sum per voter subset this way.
+
+    A code is a hashable int and ``decode(code)`` its winner set, so callers
+    judge each distinct code once, whatever the number of multisets."""
 
     winners: Callable[[frozenset[int], tuple[Ballot, ...]], frozenset[int]]
     voter_anonymous: bool

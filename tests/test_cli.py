@@ -212,6 +212,22 @@ def test_reduction_rejects_targets_of_other_sources(tmp_path, capsys, source):
         assert all(t in err for t in targets)
 
 
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+@pytest.mark.parametrize("source", [s for s in SOURCES if s != "vc"])
+def test_only_vc_takes_a_cover_bound(tmp_path, capsys, command, source):
+    text, _ = SOURCE_INPUTS[source]
+    f = tmp_path / "src.txt"
+    f.write_text(text)
+    written = tmp_path / "o.txt"
+    extra = (("--to", SOURCES[source][4][0], "--output", str(written))
+             if command == "reduce" else ())
+    code, out, err = run(capsys, command, "--from", source, "--input", str(f),
+                         "--k", "99", *extra)
+    assert code == 2 and out == ""
+    assert "only vc takes a cover bound" in err
+    assert not written.exists()
+
+
 def test_verify_parity_error(tmp_path, capsys):
     src = tmp_path / "g.txt"
     src.write_text("vertices 2\nedge 1 2\n")

@@ -91,5 +91,6 @@ def test_decide_survives_garbage(tmp_path, text):
 def test_verify_survives_garbage(tmp_path, source, text):
     f = tmp_path / "in.txt"
     f.write_text(text, encoding="utf-8")
-    assert _exit_code(["verify", "--from", source, "--k", "1",
+    k = ("--k", "1") if source == "vc" else ()   # only vc takes a cover bound
+    assert _exit_code(["verify", "--from", source, *k,
                        "--input", str(f)]) in (0, 1, 2)
