@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide a control instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--solver", choices=("brute", "poly"), default="brute")
-    p.add_argument("--budget", type=int, default=solvers.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_natural, default=solvers.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_decide)
 
     for name, func in (("reduce", cmd_reduce), ("verify", cmd_verify)):

@@ -11,8 +11,9 @@ that allows it:
   routed rule has a counted form every subset's election is one running
   packed sum, classified by that form, instead of a rebuilt ballot list;
 - partitioning voters (PV) groups identical ballots into count classes when
-  the routed rule is voter-anonymous, and decides once per distinct pair of
-  subelection survivor sets.
+  the routed rule is voter-anonymous, classifies them from running packed
+  sums in mask order, each with its complement (swapping the sides changes
+  nothing), and stops at the first winning class.
 
 The remaining functions are the polynomial-time deciders for the specific
 system/control-type pairs that admit them; each is checked against the
@@ -22,7 +23,8 @@ brute force in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, islice, product
+from itertools import combinations, islice
+from math import prod
 from typing import Callable
 
 from .control import (
@@ -33,7 +35,7 @@ from .control import (
 )
 from .core import restrict, unique_winner
 from .errors import BudgetExceeded, WrongSystem
-from .systems import RULES, SystemId, _triangular_roots, raw_winners, route
+from .systems import RULES, CountedForm, SystemId, _triangular_roots, raw_winners, route
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -44,72 +46,137 @@ class Decision:
     witness: ControlAction | None = None
 
 
+class _ExpandedForm(CountedForm):
+    """The counted form of a rule that has none: a multiset packs to its
+    count vector in base n + 1, and ``classify`` expands each to a ballot
+    list for the winner function.  The code is the winner set."""
+
+    def __init__(self, system: SystemId, cands: frozenset[int], groups: tuple):
+        self.system, self.cands, self.groups = system, cands, groups
+
+    def pack(self, n: int):
+        radix, ones = n + 1, [(b,) for b in self.groups]
+
+        def classify(vals: list[int]) -> list[frozenset[int]]:
+            out = []
+            for v in vals:
+                ballots = ()
+                for one in ones:
+                    ballots += one * (v % radix)
+                    v //= radix
+                out.append(raw_winners(self.system, self.cands, ballots))
+            return out
+
+        return [radix ** g for g in range(len(ones))], classify, frozenset
+
+
+def _classes(groups: list[list[int]], units: list[int]) -> tuple[list[int], list[int]]:
+    """Each count class's representative mask, which sends the lowest
+    indices of each group to side 1, and its packed sum, in ``product``
+    order of the groups' counts."""
+    masks, sums = [0], [0]
+    for ix, unit in zip(groups, units):
+        row, steps = [0], [0]
+        for i in ix:
+            row.append(row[-1] | 1 << i)
+            steps.append(steps[-1] + unit)
+        masks = [mask | r for mask in masks for r in row]
+        sums = [v + step for v in sums for step in steps]
+    return masks, sums
+
+
 def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
                                 budget: int) -> Decision:
     """Voter partitions whose candidate set routes to a voter-anonymous rule.
 
-    Identical ballots are interchangeable: only the per-group counts sent to
-    side 1 matter.  Count vectors (classes) are indexed in mixed radix, in
-    ``product`` order over the groups, so the complement of class ``i`` --
-    the counts side 2 receives -- is class ``N-1-i``.  Every class's winners
-    are computed once, in one pass, and the final run-off of each distinct
-    (side-1, side-2) survivor pair is looked up in ``evaluate`` by its
-    candidate set, so pairs with the same union share one evaluation.  A
-    class's cheapest concrete partition in mask order assigns the lowest
-    ballot indices of each group to side 1, so the winning class with the
-    minimum such representative mask is exactly the canonical first-success
-    witness of the full mask enumeration.
+    Identical ballots are interchangeable: only the count of each group
+    sent to side 1 matters.  A class (count vector) is first met in mask
+    order at its representative mask, so walking the classes in the order
+    of their representatives, the first winner is the canonical witness.
+
+    That order, proved: the lowest groups, while they are index intervals
+    with few classes in all, form the inner block; no group crosses the cut
+    above them.  Every outer index exceeds every inner one, so classes order
+    by outer part, then inner part.  Outer parts are sorted.  Inner parts
+    come in ``product`` order with the highest group most significant: the
+    highest interval group where two classes differ decides, and there more
+    copies set a higher bit.  A block, one outer part with every inner part,
+    is classified from its packed base by the rule's counted form, or by
+    ``_ExpandedForm``.
+
+    Swapping the sides changes no outcome, so a class wins exactly when its
+    complement does.  Each block is classified with its complement block,
+    each new (side-1, side-2) code pair is judged once through ``evaluate``,
+    and a block whose complement block came first is skipped: a no-instance
+    classifies each class once.
     """
     groups: dict[tuple, list[int]] = {}
     for i, b in enumerate(instance.ballots):
         groups.setdefault(b, []).append(i)
-    ballots_of = tuple(groups.keys())
-
-    total = 1
-    for ix in groups.values():
-        total *= len(ix) + 1
+    total = prod(len(ix) + 1 for ix in groups.values())
     if total > budget:
         raise BudgetExceeded(f"{total} voter-partition classes exceed budget {budget}")
 
-    # the empty side 1 comes first in mask order; trying it alone spares the
-    # batch below whenever doing nothing already meets the goal
+    # the empty side 1 comes first in mask order; trying it alone spares
+    # building the classes whenever doing nothing already meets the goal
     nothing = VoterPartition(frozenset())
     if goal_met(instance, nothing, evaluate):
         return Decision(True, nothing)
 
     # both subelections keep the full candidate set, so the routed rule is
-    # fixed and a counts-based evaluator (when the rule has one) avoids
-    # rebuilding ballot lists per class
-    cands = instance.candidates
-    choices = [range(len(ix) + 1) for ix in groups.values()]
-    counted = RULES[route(instance.system, cands).tag].counted
-    if counted is not None:
-        codes, decode = counted(cands, ballots_of).codes(choices)
-    else:
-        codes = [raw_winners(instance.system, cands,
-                             tuple(b for b, t in zip(ballots_of, counts) for _ in range(t)))
-                 for counts in product(*choices)]
-        decode = frozenset  # the codes are the winner sets themselves
-
-    want = instance.goal == CONSTRUCTIVE
-    won = {pair for pair in set(zip(codes, reversed(codes)))
-           if unique_winner(evaluate(_survivors(instance.tie, decode(pair[0]))
-                                     | _survivors(instance.tie, decode(pair[1]))),
-                            instance.distinguished) == want}
-    if not won:
-        return Decision(False, None)
-
-    # masks[i] = class i's representative: the lowest indices of each group
-    masks = [0]
+    # fixed.  A counted form classifies a block of 64 classes for little
+    # more than one; the expanded form pays per class, so its blocks stay
+    # small: past the first winner, a block wastes at most 2 * 8 classes.
+    cands, n = instance.candidates, len(instance.ballots)
+    rule = route(instance.system, cands)
+    counted = RULES[rule.tag].counted
+    inner, classes, cut = [], 1, 0
     for ix in groups.values():
-        row = [0]
-        for i in ix:
-            row.append(row[-1] | 1 << i)
-        masks = [mask | r for mask in masks for r in row]
-    best = min(mask for mask, a, b in zip(masks, codes, reversed(codes))
-               if (a, b) in won)
-    return Decision(True, VoterPartition(
-        frozenset(i for i in range(len(instance.ballots)) if best >> i & 1)))
+        classes *= len(ix) + 1
+        if ix[0] != cut or ix[-1] != cut + len(ix) - 1 or classes > (64 if counted else 8):
+            break
+        inner.insert(0, ix)   # highest group first, most significant
+        cut += len(ix)
+    outer = [ix for ix in groups.values() if ix[0] >= cut][::-1]
+    distinct = tuple(instance.ballots[ix[0]] for ix in inner + outer)
+    form = counted(cands, distinct) if counted else _ExpandedForm(rule, cands, distinct)
+
+    units = form.packing(n)[0]
+    masks, vals = _classes(outer, units[len(inner):])
+    choices = [range(len(ix) + 1) for ix in inner]
+    last = len(masks) - 1
+
+    def unjudged():
+        """The blocks in mask order, less those whose complement came first."""
+        judged = bytearray(len(masks))
+        for o in sorted(range(len(masks)), key=masks.__getitem__):
+            if not judged[last - o]:
+                judged[o] = 1
+                yield o
+
+    # chunks double from one block up to 64: an early witness costs
+    # little, and a long search few calls
+    want = instance.goal == CONSTRUCTIVE
+    blocks, size, lost = unjudged(), 1, set()
+    while chunk := list(islice(blocks, size)):
+        # the complement blocks, in reverse: reversed, their codes align
+        # with the chunk's classes
+        codes, decode = form.codes(choices, [vals[o] for o in chunk]
+                                   + [vals[last - o] for o in reversed(chunk)], n)
+        comps = codes[len(codes) // 2:][::-1]
+        fresh = set(zip(codes, comps)) - lost
+        won = {pair for pair in fresh
+               if unique_winner(evaluate(_survivors(instance.tie, decode(pair[0]))
+                                         | _survivors(instance.tie, decode(pair[1]))),
+                                instance.distinguished) == want}
+        if won:
+            j = next(j for j, pair in enumerate(zip(codes, comps)) if pair in won)
+            block, part = divmod(j, len(comps) // len(chunk))
+            best = masks[chunk[block]] | _classes(inner, units)[0][part]
+            return Decision(True, VoterPartition(frozenset(i for i in range(n) if best >> i & 1)))
+        lost |= fresh | {(b, a) for a, b in fresh}
+        size = min(2 * size, 64)
+    return Decision(False, None)
 
 
 def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, counted: type,

@@ -249,27 +249,52 @@ def e1_second_winners(cands: frozenset[int], ballots: tuple[Ballot, ...]) -> fro
     return frozenset()
 
 
-class NotAllOneCounted:
-    """Counts-based form of not_all_one for multisets of known ballots.
+class CountedForm:
+    """A rule evaluated on packed multisets of a list of distinct ballots.
 
-    ``groups`` lists the distinct ballots; a count vector says how many
-    copies of each the multiset holds.  Calling the object on one count
-    vector returns that multiset's winner set, ``codes`` evaluates a whole
-    product of count choices at once, and ``pack`` gives the packed units
-    and the classifier that a caller summing its own multisets uses.  All
-    three run the one packed kernel built by ``pack``, so they cannot
-    disagree.
+    A subclass defines ``pack(n)`` for multisets of at most ``n`` ballots:
+    ``(units, classify, decode)``, where a multiset packs to the sum of one
+    unit per copy, ``classify`` maps packed multisets to hashable winner
+    codes and ``decode`` a code to its winner set.  Calling the object on a
+    count vector and ``codes`` both run ``pack``, so they cannot disagree.
     """
+
+    def __call__(self, counts: tuple[int, ...]) -> frozenset[int]:
+        codes, decode = self.codes([(t,) for t in counts])
+        return decode(codes[0])
+
+    def packing(self, n: int):
+        """``pack(n)``, built on the first call for each ``n`` and kept."""
+        kept = self.__dict__.setdefault("_packings", {})
+        if n not in kept:
+            kept[n] = self.pack(n)
+        return kept[n]
+
+    def codes(self, choices: Sequence[Sequence[int]], bases: Sequence[int] = (0,),
+              n: int | None = None):
+        """Winner codes of each base plus each count vector in ``product(*choices)``.
+
+        The choices count the first ``len(choices)`` ballots, the packed
+        bases the others.  Codes come base by base, each in product order,
+        packed for at most ``n`` ballots (default: the largest vector), so
+        calls with the same ``n`` give codes that compare.
+        """
+        units, classify, decode = self.packing(
+            sum(max(choice) for choice in choices) if n is None else n)
+        steps = [0]
+        for unit, choice in zip(units, choices):
+            steps = [s + t * unit for s in steps for t in choice]
+        return classify([base + s for base in bases for s in steps]), decode
+
+
+class NotAllOneCounted(CountedForm):
+    """Counted form of not_all_one: tallies and scores in bit fields of one int."""
 
     def __init__(self, cands: frozenset[int], groups: tuple[Ballot, ...]):
         self.order = sorted(cands)
         pos = {c: i for i, c in enumerate(self.order)}
         self.tops = [pos[b[0]] for b in groups]
         self.top4s = [[pos[c] for c in b[:4]] for b in groups]
-
-    def __call__(self, counts: tuple[int, ...]) -> frozenset[int]:
-        codes, decode = self.codes([(t,) for t in counts])
-        return decode(codes[0])
 
     def pack(self, n: int):
         """The packing for multisets of at most ``n`` ballots.
@@ -307,28 +332,14 @@ class NotAllOneCounted:
                   for p in range(m)}
 
         def classify(vals: list[int]) -> list[int]:
-            hits = [((v << 1) + bias[v >> tot]) & high for v in vals]
             if m == 1:
                 # the blocking clause ranges over the other candidates; with
                 # none, a lone majority candidate wins
-                return hits
-            return [h if h and (v ^ ones) & others[h] else 0
-                    for v, h in zip(vals, hits)]
+                return [((v << 1) + bias[v >> tot]) & high for v in vals]
+            return [h if (h := ((v << 1) + bias[v >> tot]) & high)
+                    and (v ^ ones) & others[h] else 0 for v in vals]
 
         return units, classify, decode.__getitem__
-
-    def codes(self, choices: Sequence[Sequence[int]]):
-        """Winner codes of every count vector in ``product(*choices)``, in order.
-
-        Returns the code list and the function mapping a code to its winner
-        set (see ``pack``).
-        """
-        units, classify, decode = self.pack(sum(max(choice) for choice in choices))
-        vals = [0]
-        for unit, choice in zip(units, choices):
-            steps = [t * unit for t in choice]
-            vals = [v + step for v in vals for step in steps]
-        return classify(vals), decode
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,9 +354,10 @@ class Rule:
     candidate set and list of distinct ballots; the solvers then use it in
     two ways:
 
-    - ``codes(choices)`` evaluates every count vector in ``product(*choices)``
-      and returns ``(codes, decode)``, the codes in product order.  Voter
-      partition classifies all its count classes this way.
+    - ``codes(choices, bases, n)`` classifies each packed base plus every
+      count vector in ``product(*choices)`` and returns ``(codes, decode)``.
+      Voter partition walks its count classes in mask order this way, a
+      chunk of blocks per call, and stops at the first winning class.
     - ``pack(n)`` returns ``(units, classify, decode)`` for multisets of at
       most ``n`` ballots: one packed int per distinct ballot, whose sums
       pack multisets, and the classifier of a list of such sums.  Adding and
@@ -363,7 +375,7 @@ class Rule:
 # ATOMIC_TAGS keeps this order; the benchmark's system list is built from it
 RULES: dict[str, Rule] = {
     "plurality": Rule(plurality_winners, voter_anonymous=True, tie_free=False),
-    "condorcet": Rule(condorcet_winners, voter_anonymous=True, tie_free=False),
+    "condorcet": Rule(condorcet_winners, voter_anonymous=True, tie_free=True),
     "not_all_one": Rule(not_all_one_winners, voter_anonymous=True, tie_free=True,
                         counted=NotAllOneCounted),
     "e_first": Rule(e_first_winners, voter_anonymous=True, tie_free=True),

@@ -114,6 +114,14 @@ def test_decide_budget_exceeded(tmp_path, capsys):
     assert code == 3
 
 
+def test_decide_negative_budget_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "i.txt"
+    f.write_text(DCDC_NO)
+    code, out, err = run(capsys, "decide", "--instance", str(f), "--budget", "-1")
+    assert code == 2 and out == ""
+    assert "expected a count >= 0, got -1" in err
+
+
 def test_reduce_then_decide_roundtrip(tmp_path, capsys):
     src = tmp_path / "x3c.txt"
     src.write_text(X3C_YES)

@@ -9,16 +9,20 @@ imported read-only from the benchmark's directory.
 """
 
 import random
+from collections import Counter
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from votectrl.control import (
-    AddVoters, DeleteVoters, CONSTRUCTIVE, DESTRUCTIVE, SHAPES, SPECS, TE, TP,
+    AddVoters, DeleteVoters, PartitionVoters, CONSTRUCTIVE, DESTRUCTIVE, SHAPES, SPECS, TE, TP,
 )
+from votectrl.errors import BudgetExceeded
 from votectrl.harness import random_instance
+from votectrl.reductions import X3CInstance, reduce_x3c
 from votectrl.solvers import brute_force_decide
-from votectrl.systems import ATOMIC_TAGS, atomic, parse_system, route
+from votectrl.systems import ATOMIC_TAGS, RULES, atomic, parse_system, route
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -130,3 +134,51 @@ def test_counted_voter_control_on_repeated_ballots(reference):
             inst = AddVoters(sid, cands, c, draw(rng.randint(0, 3)), pool,
                              rng.randint(0, len(pool)), goal)
         _agree(reference, inst)
+
+
+# Voter partition on voter-anonymous rules: the count-class search walks
+# classes in mask order, so groups of identical ballots that interleave,
+# degenerate profiles and the exact-cover gadget (whose repeated set makes
+# its set ballots interleave) must all give the reference's witness.
+A, B, C = (0, 2, 4, 6), (2, 0, 4, 6), (4, 6, 0, 2)
+
+
+def _x3c_gadget(sid, goal, tie):
+    # four sets, {1, 2, 3} twice, with an exact cover; candidates doubled so
+    # that the hybrid routes the all-even set to not_all_one
+    family = X3CInstance(range(1, 7), ({1, 2, 3}, {2, 3, 4}, {1, 2, 3}, {4, 5, 6}))
+    inst = reduce_x3c(family, "DCPV")
+    return PartitionVoters(sid, {2 * c for c in inst.candidates}, 2 * inst.distinguished,
+                           tuple(tuple(2 * c for c in b) for b in inst.ballots), tie, goal)
+
+
+PV_EDGES = {
+    "interleaved-repeats": lambda sid, goal, tie: PartitionVoters(
+        sid, {0, 2, 4, 6}, 0, (A, B, A, C, B, A), tie, goal),
+    "all-identical": lambda sid, goal, tie: PartitionVoters(
+        sid, {0, 2, 4, 6}, 2, (B,) * 7, tie, goal),
+    "no-ballots": lambda sid, goal, tie: PartitionVoters(sid, {0, 2}, 0, (), tie, goal),
+    "one-ballot": lambda sid, goal, tie: PartitionVoters(sid, {0, 2, 4, 6}, 4, (C,), tie, goal),
+    "one-candidate": lambda sid, goal, tie: PartitionVoters(sid, {4}, 4, LONE, tie, goal),
+    "x3c-repeated-set": _x3c_gadget,
+}
+PV_SYSTEMS = (NOT_ALL_ONE, atomic("plurality"), atomic("condorcet"), EVEN_TO_NOT_ALL_ONE)
+
+
+@pytest.mark.parametrize("sid", PV_SYSTEMS, ids=map(str, PV_SYSTEMS))
+@pytest.mark.parametrize("case", PV_EDGES)
+def test_anonymous_voter_partition_edge_cases(reference, case, sid):
+    for goal in (CONSTRUCTIVE, DESTRUCTIVE):
+        for tie in (TE, TP):
+            inst = PV_EDGES[case](sid, goal, tie)
+            assert RULES[route(sid, inst.candidates).tag].voter_anonymous
+            _agree(reference, inst)
+
+
+@pytest.mark.parametrize("case", PV_EDGES)
+def test_anonymous_voter_partition_checks_the_class_budget(case):
+    inst = PV_EDGES[case](NOT_ALL_ONE, DESTRUCTIVE, TE)
+    classes = prod(k + 1 for k in Counter(inst.ballots).values())
+    with pytest.raises(BudgetExceeded, match=f"{classes} voter-partition classes"):
+        brute_force_decide(inst, budget=classes - 1)
+    brute_force_decide(inst, budget=classes)

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +277,17 @@ def test_tie_free_tags_return_at_most_one_winner(data):
     ballots = data.draw(st.lists(
         st.permutations(sorted(cands)).map(tuple), max_size=5))
     assert len(run(tag, cands, ballots)) <= 1
+
+
+def test_condorcet_is_tie_free():
+    # a Condorcet winner beats every rival by a strict majority, so no
+    # profile has two; checked on every profile of up to four ballots
+    assert RULES["condorcet"].tie_free
+    cands = (0, 1, 2)
+    orders = list(permutations(cands))
+    for size in range(5):
+        for ballots in product(orders, repeat=size):
+            assert len(run("condorcet", cands, ballots)) <= 1
 
 
 @settings(max_examples=60)
