@@ -12,12 +12,13 @@ the shape reads it from one table, ``SPECS``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
-    Ballot, _content_lines, _parse_naturals, check_ballots, format_ballot,
+    Ballot, _content_lines, _parse_candidates, check_ballots, format_ballot,
     parse_ballot_line, restrict, unique_winner,
 )
 from .errors import BoundViolation, ParseError, ShapeMismatch
@@ -388,6 +389,13 @@ class Shape:
     actions: Callable          # instance -> (count, canonical action iterator)
     final: Callable            # (instance, action, Evaluator) -> final winner set
 
+    @cached_property
+    def directives(self) -> frozenset[str]:
+        """The text-format directives an instance of this shape takes."""
+        return frozenset(("type", "system", "distinguished",
+                          *(_DIRECTIVE[name] for name in self.sets + self.profiles),
+                          *("k",) * self.has_k, *("tie",) * self.has_tie))
+
 
 SPECS: dict[str, Shape] = {s.code: s for s in (
     Shape("AC", AddCandidates, AddSet, ("qualified", "spoilers"), ("ballots",),
@@ -462,17 +470,19 @@ _DIRECTIVE = {
 
 
 def parse_instance(text: str) -> ControlInstance:
-    """Parse the line-based control-instance format."""
+    """Parse the line-based control-instance format.  Ballot lines repeat;
+    any other directive appears once, and only if the shape takes it."""
     fields: dict[str, str] = {}
-    lists: dict[str, list] = {
-        "candidates": [], "spoilers": [], "ballot": [], "unregistered-ballot": []}
+    lists: dict[str, list] = {}
     for lineno, line in _content_lines(text):
         key, _, body = line.partition(" ")
         body = body.strip()
         if key in ("ballot", "unregistered-ballot"):
-            lists[key].append(parse_ballot_line(body, lineno))
+            lists.setdefault(key, []).append(parse_ballot_line(body, lineno))
+        elif key in fields or key in lists:
+            raise ParseError(f"line {lineno}: repeated '{key}' line")
         elif key in ("candidates", "spoilers"):
-            lists[key] = _parse_naturals(body.split(), lineno)
+            lists[key] = _parse_candidates(body.split(), lineno)
         elif key in ("type", "system", "distinguished", "k", "tie"):
             fields[key] = body
         else:
@@ -485,22 +495,23 @@ def parse_instance(text: str) -> ControlInstance:
     if code not in ALL_TYPE_CODES:
         raise ParseError(f"unknown control type {code!r}")
     shape = SPECS[code[2:]]
+    stray = (fields.keys() | lists.keys()) - shape.directives
+    if stray:
+        raise ParseError(f"{code} instances take no '{min(stray)}' line")
     system = parse_system(fields["system"])
     try:
         distinguished = int(fields["distinguished"])
     except ValueError as exc:
         raise ParseError("bad distinguished candidate id") from exc
     # the instance freezes the candidate sets and the ballot lists
-    args = {name: lists[_DIRECTIVE[name]] for name in shape.sets + shape.profiles}
-    if "k" in fields:
+    args = {name: lists.get(_DIRECTIVE[name], []) for name in shape.sets + shape.profiles}
+    if shape.has_k:
+        if "k" not in fields:
+            raise ParseError(f"{shape.code} instances need a 'k' line")
         try:
-            limit = int(fields["k"])
+            args["limit"] = int(fields["k"])
         except ValueError as exc:
             raise ParseError("bad limit k") from exc
-        if shape.has_k:
-            args["limit"] = limit
-    elif shape.has_k:
-        raise ParseError(f"{shape.code} instances need a 'k' line")
     if shape.has_tie:
         args["tie"] = fields.get("tie", TE).upper()
     goal = CONSTRUCTIVE if code.startswith("CC") else DESTRUCTIVE

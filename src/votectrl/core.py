@@ -123,6 +123,14 @@ def _parse_naturals(tokens: list[str], lineno: int) -> list[int]:
     return ids
 
 
+def _parse_candidates(tokens: list[str], lineno: int) -> list[int]:
+    """The ids of a candidate-set line: distinct naturals."""
+    ids = _parse_naturals(tokens, lineno)
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"line {lineno}: duplicate candidate ids")
+    return ids
+
+
 def parse_ballot_line(body: str, lineno: int = 0) -> Ballot:
     """Parse the ``<id> > <id> > ...`` tail of a ballot line."""
     if not body.strip():
@@ -140,9 +148,7 @@ def parse_election(text: str) -> Election:
     if not lines or not lines[0][1].startswith("candidates"):
         raise ParseError("election file must start with a 'candidates' line")
     lineno, header = lines[0]
-    candidates = _parse_naturals(header.split()[1:], lineno)
-    if len(set(candidates)) != len(candidates):
-        raise ParseError(f"line {lineno}: duplicate candidate ids")
+    candidates = _parse_candidates(header.split()[1:], lineno)
     ballots = []
     for lineno, line in lines[1:]:
         if not line.startswith("ballot"):

@@ -3,17 +3,10 @@
 ``brute_force_decide`` is the ground truth: it tries every legal chair
 action in a fixed canonical order (subsets by size then lexicographically;
 partitions by binary mask, ascending) and reports the first action that
-meets the goal.  Three shapes take a faster path that reports the same
-answer and witness when the instance's full candidate set routes to a rule
-that allows it:
-
-- adding (AV) and deleting (DV) voters keep the candidate set, so when the
-  routed rule has a counted form every subset's election is one running
-  packed sum, classified by that form, instead of a rebuilt ballot list;
-- partitioning voters (PV) groups identical ballots into count classes when
-  the routed rule is voter-anonymous, classifies them from running packed
-  sums in mask order, each with its complement (swapping the sides changes
-  nothing), and stops at the first winning class.
+meets the goal.  Voter control (AV, DV, PV) keeps the candidate set, so
+when that set routes to a voter-anonymous rule the search judges its
+elections from packed counts with the rule's counted form
+(``systems.Rule.form``), and reports the same answer and witness.
 
 The remaining functions are the polynomial-time deciders for the specific
 system/control-type pairs that admit them; each is checked against the
@@ -35,7 +28,8 @@ from .control import (
 )
 from .core import restrict, unique_winner
 from .errors import BudgetExceeded, WrongSystem
-from .systems import RULES, CountedForm, SystemId, _triangular_roots, raw_winners, route
+# raw_winners is unused here, but the benchmark's tracer wraps it by this name
+from .systems import RULES, Rule, SystemId, _triangular_roots, raw_winners, route
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -44,30 +38,6 @@ DEFAULT_BUDGET = 2 ** 24
 class Decision:
     answer: bool
     witness: ControlAction | None = None
-
-
-class _ExpandedForm(CountedForm):
-    """The counted form of a rule that has none: a multiset packs to its
-    count vector in base n + 1, and ``classify`` expands each to a ballot
-    list for the winner function.  The code is the winner set."""
-
-    def __init__(self, system: SystemId, cands: frozenset[int], groups: tuple):
-        self.system, self.cands, self.groups = system, cands, groups
-
-    def pack(self, n: int):
-        radix, ones = n + 1, [(b,) for b in self.groups]
-
-        def classify(vals: list[int]) -> list[frozenset[int]]:
-            out = []
-            for v in vals:
-                ballots = ()
-                for one in ones:
-                    ballots += one * (v % radix)
-                    v //= radix
-                out.append(raw_winners(self.system, self.cands, ballots))
-            return out
-
-        return [radix ** g for g in range(len(ones))], classify, frozenset
 
 
 def _classes(groups: list[list[int]], units: list[int]) -> tuple[list[int], list[int]]:
@@ -101,14 +71,13 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     come in ``product`` order with the highest group most significant: the
     highest interval group where two classes differ decides, and there more
     copies set a higher bit.  A block, one outer part with every inner part,
-    is classified from its packed base by the rule's counted form, or by
-    ``_ExpandedForm``.
+    is classified from its packed base by the rule's counted form.
 
     Swapping the sides changes no outcome, so a class wins exactly when its
     complement does.  Each block is classified with its complement block,
-    each new (side-1, side-2) code pair is judged once through ``evaluate``,
-    and a block whose complement block came first is skipped: a no-instance
-    classifies each class once.
+    the new (side-1, side-2) code pairs are judged in order through
+    ``evaluate`` up to the first winner, and a block whose complement block
+    came first is skipped: a no-instance classifies each class once.
     """
     groups: dict[tuple, list[int]] = {}
     for i, b in enumerate(instance.ballots):
@@ -123,23 +92,18 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     if goal_met(instance, nothing, evaluate):
         return Decision(True, nothing)
 
-    # both subelections keep the full candidate set, so the routed rule is
-    # fixed.  A counted form classifies a block of 64 classes for little
-    # more than one; the expanded form pays per class, so its blocks stay
-    # small: past the first winner, a block wastes at most 2 * 8 classes.
+    # both subelections keep the full candidate set, so the routed rule is fixed
     cands, n = instance.candidates, len(instance.ballots)
-    rule = route(instance.system, cands)
-    counted = RULES[rule.tag].counted
     inner, classes, cut = [], 1, 0
     for ix in groups.values():
         classes *= len(ix) + 1
-        if ix[0] != cut or ix[-1] != cut + len(ix) - 1 or classes > (64 if counted else 8):
+        if ix[0] != cut or ix[-1] != cut + len(ix) - 1 or classes > 64:
             break
         inner.insert(0, ix)   # highest group first, most significant
         cut += len(ix)
     outer = [ix for ix in groups.values() if ix[0] >= cut][::-1]
-    distinct = tuple(instance.ballots[ix[0]] for ix in inner + outer)
-    form = counted(cands, distinct) if counted else _ExpandedForm(rule, cands, distinct)
+    form = RULES[route(instance.system, cands).tag].form(
+        cands, tuple(instance.ballots[ix[0]] for ix in inner + outer))
 
     units = form.packing(n)[0]
     masks, vals = _classes(outer, units[len(inner):])
@@ -156,7 +120,7 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
 
     # chunks double from one block up to 64: an early witness costs
     # little, and a long search few calls
-    want = instance.goal == CONSTRUCTIVE
+    want, tie = instance.goal == CONSTRUCTIVE, instance.tie
     blocks, size, lost = unjudged(), 1, set()
     while chunk := list(islice(blocks, size)):
         # the complement blocks, in reverse: reversed, their codes align
@@ -164,37 +128,38 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
         codes, decode = form.codes(choices, [vals[o] for o in chunk]
                                    + [vals[last - o] for o in reversed(chunk)], n)
         comps = codes[len(codes) // 2:][::-1]
-        fresh = set(zip(codes, comps)) - lost
-        won = {pair for pair in fresh
-               if unique_winner(evaluate(_survivors(instance.tie, decode(pair[0]))
-                                         | _survivors(instance.tie, decode(pair[1]))),
-                                instance.distinguished) == want}
-        if won:
-            j = next(j for j, pair in enumerate(zip(codes, comps)) if pair in won)
-            block, part = divmod(j, len(comps) // len(chunk))
-            best = masks[chunk[block]] | _classes(inner, units)[0][part]
-            return Decision(True, VoterPartition(frozenset(i for i in range(n) if best >> i & 1)))
-        lost |= fresh | {(b, a) for a, b in fresh}
+        for pair in dict.fromkeys(zip(codes, comps)):
+            if pair in lost:
+                continue
+            if unique_winner(evaluate(_survivors(tie, decode(pair[0]))
+                                      | _survivors(tie, decode(pair[1]))),
+                             instance.distinguished) == want:
+                j = next(j for j, seen in enumerate(zip(codes, comps)) if seen == pair)
+                block, part = divmod(j, len(comps) // len(chunk))
+                best = masks[chunk[block]] | _classes(inner, units)[0][part]
+                side1 = frozenset(i for i in range(n) if best >> i & 1)
+                return Decision(True, VoterPartition(side1))
+            lost.update((pair, pair[::-1]))
         size = min(2 * size, 64)
     return Decision(False, None)
 
 
-def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, counted: type,
+def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, rule: Rule,
                     budget: int) -> Decision:
-    """Adding or deleting voters under a routed rule with a counted form.
+    """Adding or deleting voters under a routed voter-anonymous rule.
 
     The chosen subsets come in the canonical order of ``_subsets``, as
     tuples of packed units, one unit per pool ballot.  A subset's election
     packs to the registered ballots plus its units (adding) or to all the
-    ballots minus its units (deleting), so each costs one sum; the counted
-    form classifies these sums a chunk at a time, and the first sum whose
-    winner code meets the goal names the witness by its position.
+    ballots minus its units (deleting), so each costs one sum; the rule's
+    counted form classifies these sums a chunk at a time, and the first
+    code in the chunk that meets the goal names the witness by its position.
     """
     adding = shape.code == "AV"
     pool = instance.unregistered if adding else instance.ballots
     fixed = instance.registered if adding else ()
     distinct = tuple(dict.fromkeys(fixed + pool))
-    units, classify, decode = counted(instance.candidates, distinct).pack(
+    units, classify, decode = rule.form(instance.candidates, distinct).pack(
         len(fixed) + instance.limit if adding else len(pool))
     unit_of = dict(zip(distinct, units))
     pool_units = [unit_of[b] for b in pool]
@@ -212,13 +177,11 @@ def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, counted: t
     done, size = 0, 16
     while chunk := list(islice(packed, size)):
         codes = classify(chunk)
-        good = [x for x in set(codes)
-                if unique_winner(decode(x), instance.distinguished) == want]
-        if good:
-            first = done + min(map(codes.index, good))
-            _, subsets = _subsets(range(len(pool)), instance.limit)
-            witness = next(islice(subsets, first, None))
-            return Decision(True, shape.action(frozenset(witness)))
+        for code in dict.fromkeys(codes):
+            if unique_winner(decode(code), instance.distinguished) == want:
+                _, subsets = _subsets(range(len(pool)), instance.limit)
+                witness = next(islice(subsets, done + codes.index(code), None))
+                return Decision(True, shape.action(frozenset(witness)))
         done += len(chunk)
         size = min(2 * size, 4096)
     return Decision(False, None)
@@ -228,22 +191,20 @@ def brute_force_decide(instance: ControlInstance,
                        budget: int = DEFAULT_BUDGET) -> Decision:
     """Exhaustively search all legal chair actions for the instance's goal.
 
-    Every path gives the canonical first-success witness.  Adding and
-    deleting voters take ``_voters_counted`` when the full candidate set,
-    which they never change, routes to a rule with a counted form.  Voter
-    partitions take the count-class search when it routes to a
-    voter-anonymous rule: both subelections run on that set, and the final
-    run-off is evaluated on the real ballot list.  Everything else, and
-    these shapes under other rules, tries the actions one by one.
+    Every path gives the canonical first-success witness.  Voter control
+    never changes the candidate set; when that set routes to a
+    voter-anonymous rule, AV and DV take ``_voters_counted`` and PV the
+    count-class search, whose final run-off is evaluated on the real ballot
+    list.  Everything else tries the actions one by one.
     """
     shape = shape_of(instance)
     if shape.code in ("AV", "DV", "PV"):
         # voter control runs its (sub)elections on the full candidate set
         rule = RULES[route(instance.system, instance.candidates).tag]
-        if shape.code == "PV" and rule.voter_anonymous:
-            return _partition_voters_anonymous(instance, CachedEvaluator(instance), budget)
-        if shape.code != "PV" and rule.counted is not None:
-            return _voters_counted(instance, shape, rule.counted, budget)
+        if rule.voter_anonymous:
+            if shape.code == "PV":
+                return _partition_voters_anonymous(instance, CachedEvaluator(instance), budget)
+            return _voters_counted(instance, shape, rule, budget)
     evaluate = CachedEvaluator(instance)
     count, actions = shape.actions(instance)
     if count > budget:

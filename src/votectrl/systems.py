@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Callable, Iterable, Sequence
 
 from .core import Ballot, Election
-from .errors import ParseError
+from .errors import ParseError, WrongSystem
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,9 @@ class CountedForm:
 
     A subclass defines ``pack(n)`` for multisets of at most ``n`` ballots:
     ``(units, classify, decode)``, where a multiset packs to the sum of one
-    unit per copy, ``classify`` maps packed multisets to hashable winner
-    codes and ``decode`` a code to its winner set.  Calling the object on a
-    count vector and ``codes`` both run ``pack``, so they cannot disagree.
+    unit per copy, ``classify`` maps packed multisets to hashable codes and
+    ``decode`` a code to its winner set.  Calling the object on a count
+    vector and ``codes`` both run ``pack``, so they cannot disagree.
     """
 
     def __call__(self, counts: tuple[int, ...]) -> frozenset[int]:
@@ -342,34 +342,51 @@ class NotAllOneCounted(CountedForm):
         return units, classify, decode.__getitem__
 
 
+class ExpandedForm(CountedForm):
+    """A voter-anonymous rule's counted form when it has no kernel: the code
+    is the count vector in base n + 1, which ``decode`` expands to ballots."""
+
+    def __init__(self, winners: Callable, cands: frozenset[int], groups: tuple[Ballot, ...]):
+        self.winners, self.cands, self.groups = winners, cands, groups
+
+    def pack(self, n: int):
+        radix, ones = n + 1, [(b,) for b in self.groups]
+
+        def decode(v: int) -> frozenset[int]:
+            ballots = ()
+            for one in ones:
+                ballots += one * (v % radix)
+                v //= radix
+            return self.winners(self.cands, ballots)
+
+        return [radix ** g for g in range(len(ones))], list, decode
+
+
 @dataclass(frozen=True, slots=True)
 class Rule:
     """An atomic rule: its winner function, whether it ignores ballot order
-    (``voter_anonymous``) and elects at most one (``tie_free``), and its
-    counts-based form over (candidates, distinct ballots), or None.
+    (``voter_anonymous``) and elects at most one (``tie_free``), and the
+    class of its own counted kernel, if it has one (``counted``).
 
-    The counted form is an optimization and must agree with ``winners`` on
-    every multiset of the distinct ballots, which makes sense only for a
-    voter-anonymous rule.  ``counted(cands, groups)`` builds it once per
-    candidate set and list of distinct ballots; the solvers then use it in
-    two ways:
-
-    - ``codes(choices, bases, n)`` classifies each packed base plus every
-      count vector in ``product(*choices)`` and returns ``(codes, decode)``.
-      Voter partition walks its count classes in mask order this way, a
-      chunk of blocks per call, and stops at the first winning class.
-    - ``pack(n)`` returns ``(units, classify, decode)`` for multisets of at
-      most ``n`` ballots: one packed int per distinct ballot, whose sums
-      pack multisets, and the classifier of a list of such sums.  Adding and
-      deleting voters carry one running sum per voter subset this way.
-
-    A code is a hashable int and ``decode(code)`` its winner set, so callers
-    judge each distinct code once, whatever the number of multisets."""
+    Every voter-anonymous rule has a counted form, which ``form`` builds
+    over a candidate set and its distinct ballots: the kernel, or else the
+    ``ExpandedForm``.  Adding and deleting voters classify running packed
+    sums with its ``pack``; voter partition walks count classes in mask
+    order, a chunk of blocks at a time, with its ``codes``."""
 
     winners: Callable[[frozenset[int], tuple[Ballot, ...]], frozenset[int]]
     voter_anonymous: bool
     tie_free: bool
     counted: type | None = None
+
+    def form(self, cands: frozenset[int], groups: tuple[Ballot, ...]) -> CountedForm:
+        """The counted form over ``cands`` and the distinct ballots ``groups``."""
+        if not self.voter_anonymous:
+            name = self.winners.__name__.removesuffix("_winners")
+            raise WrongSystem(f"{name} is not voter-anonymous: it has no counted form")
+        if self.counted is not None:
+            return self.counted(cands, groups)
+        return ExpandedForm(self.winners, cands, groups)
 
 
 # ATOMIC_TAGS keeps this order; the benchmark's system list is built from it

@@ -373,3 +373,43 @@ def test_text_boundary_rejects_negative_ids_and_large_graphs(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+CCPC = """\
+type CCPC
+system plurality
+distinguished 0
+tie TE
+candidates 0 1
+ballot 0 > 1
+"""
+
+
+# each directive but a ballot line appears once, and only where the shape
+# takes it; a candidate-set line names distinct ids
+@pytest.mark.parametrize("text, message", [
+    (CCPC + "k 7\n", "CCPC instances take no 'k' line"),
+    (DCDC_NO + "tie XX\n", "DCDC instances take no 'tie' line"),
+    (DCDC_NO + "spoilers 5\n", "DCDC instances take no 'spoilers' line"),
+    (DCDC_NO + "unregistered-ballot 1 > 0\n",
+     "DCDC instances take no 'unregistered-ballot' line"),
+    ("type CCDC\n" + DCDC_NO, "line 2: repeated 'type' line"),
+    (DCDC_NO + "system condorcet\n", "line 7: repeated 'system' line"),
+    (DCDC_NO + "distinguished 1\n", "line 7: repeated 'distinguished' line"),
+    (DCDC_NO + "k 0\n", "line 7: repeated 'k' line"),
+    (CCPC + "tie TP\n", "line 7: repeated 'tie' line"),
+    (DCDC_NO + "candidates 0 1\n", "line 7: repeated 'candidates' line"),
+    (CCAC + "spoilers 1\n", "line 7: repeated 'spoilers' line"),
+    (DCDC_NO.replace("candidates 0 1", "candidates 0 1 1"), "line 5: duplicate candidate ids"),
+    (CCAC.replace("spoilers 1", "spoilers 1 1"), "line 5: duplicate candidate ids"),
+], ids=["k-on-PC", "tie-on-DC", "spoilers-on-DC", "unregistered-on-DC", "repeated-type",
+        "repeated-system", "repeated-distinguished", "repeated-k", "repeated-tie",
+        "repeated-candidates", "repeated-spoilers", "duplicate-candidates",
+        "duplicate-spoilers"])
+def test_instance_text_rejects_stray_and_repeated_directives(tmp_path, capsys, text, message):
+    f = tmp_path / "i.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "decide", "--instance", str(f))
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -71,8 +71,9 @@ def test_every_control_type_on_every_system(reference, goal, shape, tie):
                                               max_candidates=5, max_voters=6))
 
 
-# Adding and deleting voters under a rule with a counted form: boundary
-# cases of the packed search, on not_all_one and on a hybrid routing there.
+# Adding and deleting voters under a voter-anonymous rule: boundary cases
+# of the packed search, on the not_all_one kernel, on a hybrid routing
+# there, and on the expanded form of three rules without a kernel.
 BALLOTS = ((0, 2, 4, 6), (0, 4, 2, 6), (2, 0, 4, 6), (4, 6, 0, 2))
 LONE = ((4,),) * 3
 VOTER_EDGES = {
@@ -95,13 +96,17 @@ VOTER_EDGES = {
 }
 
 
-@pytest.mark.parametrize("sid", [NOT_ALL_ONE, EVEN_TO_NOT_ALL_ONE],
-                         ids=["not_all_one", "hybrid"])
+VOTER_SYSTEMS = (NOT_ALL_ONE, EVEN_TO_NOT_ALL_ONE, atomic("plurality"), atomic("condorcet"),
+                 atomic("e0_single"))
+
+
+@pytest.mark.parametrize("sid", VOTER_SYSTEMS,
+                         ids=["not_all_one", "hybrid", "plurality", "condorcet", "e0_single"])
 @pytest.mark.parametrize("case", VOTER_EDGES)
 def test_counted_voter_control_edge_cases(reference, case, sid):
     for goal in (CONSTRUCTIVE, DESTRUCTIVE):
         inst = VOTER_EDGES[case](sid, goal)
-        assert route(sid, inst.candidates) == NOT_ALL_ONE
+        assert route(sid, inst.candidates) == (NOT_ALL_ONE if sid.is_hybrid else sid)
         _agree(reference, inst)
 
 
@@ -123,7 +128,7 @@ def test_counted_voter_control_on_repeated_ballots(reference):
             kinds.append(tuple(cands))
         c = rng.choice(kinds)[0]
         draw = lambda n: tuple(rng.choice(kinds) for _ in range(n))
-        sid = rng.choice((NOT_ALL_ONE, EVEN_TO_NOT_ALL_ONE))
+        sid = rng.choice(VOTER_SYSTEMS)
         goal = rng.choice((CONSTRUCTIVE, DESTRUCTIVE))
         if rng.random() < 0.5:
             ballots = draw(rng.randint(0, 8))

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from votectrl.core import Election
-from votectrl.errors import ParseError
+from votectrl.errors import ParseError, WrongSystem
 from votectrl.systems import (
     ATOMIC_TAGS, RULES, SystemId, atomic, format_system, hybrid, hybrid_base, parse_system,
     raw_winners, route, winners,
 )
+
+
+ANONYMOUS_TAGS = tuple(t for t in ATOMIC_TAGS if RULES[t].voter_anonymous)
 
 
 def run(tag, cands, ballots):
@@ -74,8 +77,12 @@ class TestNotAllOne:
     def test_zero_ballots_no_winner(self):
         assert run("not_all_one", {0, 1}, []) == set()
 
+    @settings(max_examples=300)
     @given(st.data())
     def test_counted_form_agrees_with_plain(self, data):
+        # every voter-anonymous rule's form: the not_all_one kernel, and the
+        # expanded form of the rules without a kernel
+        tag = data.draw(st.sampled_from(ANONYMOUS_TAGS))
         m = data.draw(st.integers(1, 4))
         cands = frozenset(range(m))
         order = sorted(cands)
@@ -83,9 +90,15 @@ class TestNotAllOne:
             st.permutations(order).map(tuple), min_size=1, max_size=4,
             unique=True))
         counts = tuple(data.draw(st.integers(0, 5)) for _ in groups)
-        counted = RULES["not_all_one"].counted(cands, tuple(groups))
+        form = RULES[tag].form(cands, tuple(groups))
         flat = tuple(b for b, k in zip(groups, counts) for _ in range(k))
-        assert counted(counts) == run("not_all_one", cands, flat)
+        assert form(counts) == run(tag, cands, flat)
+
+
+@pytest.mark.parametrize("tag", [t for t in ATOMIC_TAGS if t not in ANONYMOUS_TAGS])
+def test_a_rule_that_reads_ballot_order_has_no_counted_form(tag):
+    with pytest.raises(WrongSystem, match=f"{tag} is not voter-anonymous"):
+        RULES[tag].form(frozenset({0, 1}), ((0, 1), (1, 0)))
 
 
 def test_e_first_and_e_last_need_exactly_one_ballot():
