@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .control import (
     AddVoters, ControlInstance, DeleteCandidates, DeleteVoters, PartitionVoters,
     CONSTRUCTIVE, DESTRUCTIVE, SPECS, TE,
 )
-from .core import Ballot, _content_lines, _parse_naturals
+from .core import Ballot, _content_lines, _parse_candidates, _parse_naturals
 from .errors import (
     BudgetExceeded, InvariantViolation, ParityViolation, ParseError, TooManyEdges,
 )
@@ -256,20 +256,20 @@ def verify_reduction(source, target: ControlInstance) -> ReductionReport:
 
 
 def parse_x3c(text: str) -> X3CInstance:
-    """Parse ``base 1 2 3`` followed by ``set i j k`` lines."""
-    base: list[int] = []
+    """Parse one ``base 1 2 3`` line of distinct ids and ``set i j k`` lines."""
+    base: list[int] | None = None
     family: list[list[int]] = []
-    saw_base = False
     for lineno, line in _content_lines(text):
         key, *tokens = line.split()
-        ids = _parse_naturals(tokens, lineno)
         if key == "base":
-            base, saw_base = ids, True
+            if base is not None:
+                raise ParseError(f"line {lineno}: repeated 'base' line")
+            base = _parse_candidates(tokens, lineno)
         elif key == "set":
-            family.append(ids)
+            family.append(_parse_naturals(tokens, lineno))
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
-    if not saw_base:
+    if base is None:
         raise ParseError("missing 'base' line")
     try:
         return X3CInstance(base, family)
@@ -284,29 +284,35 @@ def format_x3c(instance: X3CInstance) -> str:
 
 
 def parse_graph(text: str) -> GraphInstance:
-    """Parse ``vertices ...`` plus ``edge i j`` lines.
+    """Parse one ``vertices ...`` line plus ``edge i j`` lines.
 
-    A single token after ``vertices`` is a count (labels 1..N, with N at
-    most MAX_VERTICES); several tokens are explicit vertex ids.
+    A single token after ``vertices`` is a count (labels 1..N); several
+    tokens are distinct explicit vertex ids, except that a lone id is
+    written twice, since alone it reads as a count.  Either way there are
+    at most MAX_VERTICES vertices.
     """
-    vertices: list[int] = []
+    vertices: Sequence[int] | None = None
     edges: list[list[int]] = []
-    saw_vertices = False
     for lineno, line in _content_lines(text):
         key, *tokens = line.split()
-        ids = _parse_naturals(tokens, lineno)
         if key == "vertices":
-            if len(ids) == 1 and ids[0] > MAX_VERTICES:
+            if vertices is not None:
+                raise ParseError(f"line {lineno}: repeated 'vertices' line")
+            if len(tokens) == 1:
+                vertices = range(1, _parse_naturals(tokens, lineno)[0] + 1)
+            else:
+                lone = len(tokens) == 2 and tokens[0] == tokens[1]
+                vertices = _parse_candidates(tokens[:1] if lone else tokens, lineno)
+            if len(vertices) > MAX_VERTICES:
                 raise ParseError(f"line {lineno}: more than {MAX_VERTICES} vertices")
-            vertices = list(range(1, ids[0] + 1)) if len(ids) == 1 else ids
-            saw_vertices = True
         elif key == "edge":
+            ids = _parse_naturals(tokens, lineno)
             if len(ids) != 2:
                 raise ParseError(f"line {lineno}: an edge needs two endpoints")
             edges.append(ids)
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
-    if not saw_vertices:
+    if vertices is None:
         raise ParseError("missing 'vertices' line")
     try:
         return GraphInstance(vertices, edges)

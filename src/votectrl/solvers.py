@@ -5,12 +5,14 @@ action in a fixed canonical order (subsets by size then lexicographically;
 partitions by binary mask, ascending) and reports the first action that
 meets the goal.  Voter control (AV, DV, PV) keeps the candidate set, so
 when that set routes to a voter-anonymous rule the search judges its
-elections from packed counts with the rule's counted form
-(``systems.Rule.form``), and reports the same answer and witness.
+elections from packed counts through the ``codes`` of the rule's counted
+form (``systems.Rule.form``), and reports the same answer and witness.
 
 The remaining functions are the polynomial-time deciders for the specific
 system/control-type pairs that admit them; each is checked against the
-brute force in the test suite.
+brute force in the test suite.  The hybrid ones run the brute force on the
+hybrid itself wherever every reachable candidate set routes to one
+constituent, which the brute force already follows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .control import (
 from .core import restrict, unique_winner
 from .errors import BudgetExceeded, WrongSystem
 # raw_winners is unused here, but the benchmark's tracer wraps it by this name
-from .systems import RULES, Rule, SystemId, _triangular_roots, raw_winners, route
+from .systems import RULES, Rule, _triangular_roots, raw_winners, route
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -71,13 +73,15 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     come in ``product`` order with the highest group most significant: the
     highest interval group where two classes differ decides, and there more
     copies set a higher bit.  A block, one outer part with every inner part,
-    is classified from its packed base by the rule's counted form.
+    packs as the outer part's sum plus each inner part's sum.
 
     Swapping the sides changes no outcome, so a class wins exactly when its
-    complement does.  Each block is classified with its complement block,
-    the new (side-1, side-2) code pairs are judged in order through
-    ``evaluate`` up to the first winner, and a block whose complement block
-    came first is skipped: a no-instance classifies each class once.
+    complement does.  A class packed as v has its complement at full - v,
+    where full packs every ballot; each chunk of blocks is classified with
+    those complements, the new (side-1, side-2) code pairs are judged in
+    order through ``evaluate`` up to the first winner, and a block whose
+    complement block came first is skipped: a no-instance classifies each
+    class once.
     """
     groups: dict[tuple, list[int]] = {}
     for i, b in enumerate(instance.ballots):
@@ -103,11 +107,11 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
         cut += len(ix)
     outer = [ix for ix in groups.values() if ix[0] >= cut][::-1]
     form = RULES[route(instance.system, cands).tag].form(
-        cands, tuple(instance.ballots[ix[0]] for ix in inner + outer))
-
-    units = form.packing(n)[0]
+        cands, tuple(instance.ballots[ix[0]] for ix in inner + outer), n)
+    units = form.units
+    full = sum(unit * len(ix) for unit, ix in zip(units, inner + outer))
     masks, vals = _classes(outer, units[len(inner):])
-    choices = [range(len(ix) + 1) for ix in inner]
+    inner_masks, inner_sums = _classes(inner, units)
     last = len(masks) - 1
 
     def unjudged():
@@ -123,11 +127,9 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     want, tie = instance.goal == CONSTRUCTIVE, instance.tie
     blocks, size, lost = unjudged(), 1, set()
     while chunk := list(islice(blocks, size)):
-        # the complement blocks, in reverse: reversed, their codes align
-        # with the chunk's classes
-        codes, decode = form.codes(choices, [vals[o] for o in chunk]
-                                   + [vals[last - o] for o in reversed(chunk)], n)
-        comps = codes[len(codes) // 2:][::-1]
+        sums = [vals[o] + v for o in chunk for v in inner_sums]
+        codes, decode = form.codes(sums + [full - v for v in sums])
+        comps = codes[len(sums):]
         for pair in dict.fromkeys(zip(codes, comps)):
             if pair in lost:
                 continue
@@ -135,8 +137,8 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
                                       | _survivors(tie, decode(pair[1]))),
                              instance.distinguished) == want:
                 j = next(j for j, seen in enumerate(zip(codes, comps)) if seen == pair)
-                block, part = divmod(j, len(comps) // len(chunk))
-                best = masks[chunk[block]] | _classes(inner, units)[0][part]
+                block, part = divmod(j, len(inner_sums))
+                best = masks[chunk[block]] | inner_masks[part]
                 side1 = frozenset(i for i in range(n) if best >> i & 1)
                 return Decision(True, VoterPartition(side1))
             lost.update((pair, pair[::-1]))
@@ -152,16 +154,17 @@ def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, rule: Rule
     tuples of packed units, one unit per pool ballot.  A subset's election
     packs to the registered ballots plus its units (adding) or to all the
     ballots minus its units (deleting), so each costs one sum; the rule's
-    counted form classifies these sums a chunk at a time, and the first
-    code in the chunk that meets the goal names the witness by its position.
+    counted form's ``codes`` classifies these sums a chunk at a time, and
+    the first code in the chunk that meets the goal names the witness by
+    its position.
     """
     adding = shape.code == "AV"
     pool = instance.unregistered if adding else instance.ballots
     fixed = instance.registered if adding else ()
     distinct = tuple(dict.fromkeys(fixed + pool))
-    units, classify, decode = rule.form(instance.candidates, distinct).pack(
-        len(fixed) + instance.limit if adding else len(pool))
-    unit_of = dict(zip(distinct, units))
+    form = rule.form(instance.candidates, distinct,
+                     len(fixed) + instance.limit if adding else len(pool))
+    unit_of = dict(zip(distinct, form.units))
     pool_units = [unit_of[b] for b in pool]
     count, chosen = _subsets(pool_units, instance.limit)
     if count > budget:
@@ -176,7 +179,7 @@ def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, rule: Rule
     # subsets costs little, and memory stays bounded on a long search
     done, size = 0, 16
     while chunk := list(islice(packed, size)):
-        codes = classify(chunk)
+        codes, decode = form.codes(chunk)
         for code in dict.fromkeys(codes):
             if unique_winner(decode(code), instance.distinguished) == want:
                 _, subsets = _subsets(range(len(pool)), instance.limit)
@@ -218,16 +221,12 @@ def brute_force_decide(instance: ControlInstance,
 Decider = Callable[[ControlInstance], Decision]
 
 
-def _delegate(system: SystemId, instance: ControlInstance) -> Decision:
-    """Decide ``instance`` by brute force under the constituent ``system``."""
-    return brute_force_decide(replace(instance, system=system))
-
-
 def route_and_solve_voters(instance: ControlInstance) -> Decision:
-    """Adding or deleting voters on a hybrid: delegate to the routed constituent.
+    """Adding or deleting voters on a hybrid: brute force on the hybrid itself.
 
-    Neither changes the candidate set, so one constituent handles every
-    election the instance can produce, and it decides the instance outright.
+    Neither changes the candidate set, so every election the instance can
+    produce routes to one constituent, and the search on the hybrid decides
+    the instance as that constituent would, with no copy of the instance.
     Partitioning voters is not covered: its final run-off is over the
     subelection survivors, which can route elsewhere.
     """
@@ -235,19 +234,19 @@ def route_and_solve_voters(instance: ControlInstance) -> Decision:
         raise WrongSystem("route_and_solve_voters handles adding and deleting voters only")
     if not instance.system.is_hybrid:
         raise WrongSystem("instance system must be a hybrid")
-    return _delegate(route(instance.system, instance.candidates), instance)
+    return brute_force_decide(instance)
 
 
 def ccac_hybrid_poly(instance: AddCandidates) -> Decision:
     """Control by adding candidates on a hybrid, by case analysis on residues.
 
-    Case 1: mixed-residue qualified set -- every reachable candidate set is
-    routed to the default constituent, so the instance is decided under it.
-    Case 2: uniform residue q and all spoilers congruent to q -- likewise,
-    with constituent q.  Case 3: uniform q with off-residue spoilers --
-    first try the residue-q spoilers alone under constituent q, then force
-    in each off-residue spoiler d (which flips routing to the default) and
-    decide under the default with d qualified.
+    Cases 1 and 2: a mixed-residue qualified set, or a uniform residue q
+    with every spoiler congruent to q -- every reachable candidate set
+    routes to one constituent (the default, or constituent q), so brute
+    force on the hybrid itself decides the instance.  Case 3: uniform q with
+    off-residue spoilers -- first try the residue-q spoilers alone, which
+    route to constituent q, then force in each off-residue spoiler d (which
+    flips routing to the default) and decide with d qualified.
     """
     if not isinstance(instance, AddCandidates):
         raise WrongSystem("ccac_hybrid_poly handles adding candidates only")
@@ -257,23 +256,19 @@ def ccac_hybrid_poly(instance: AddCandidates) -> Decision:
 
     k = len(sid.constituents)
     q_residues = {x % k for x in instance.qualified}
-    if len(q_residues) > 1:
-        return _delegate(sid.default_constituent, instance)
-
-    q = q_residues.pop()
-    off = sorted(s for s in instance.spoilers if s % k != q)
-    if not off:
-        return _delegate(sid.constituents[q], instance)
+    off = sorted(s for s in instance.spoilers if s % k not in q_residues)
+    if len(q_residues) > 1 or not off:
+        return brute_force_decide(instance)
 
     s_q = instance.spoilers - frozenset(off)
     kept = instance.qualified | s_q
-    step1 = _delegate(sid.constituents[q], replace(
+    step1 = brute_force_decide(replace(
         instance, spoilers=s_q,
         ballots=tuple(restrict(b, kept) for b in instance.ballots)))
     if step1.answer:
         return step1
     for d in off:
-        sub = _delegate(sid.default_constituent, replace(
+        sub = brute_force_decide(replace(
             instance, qualified=instance.qualified | {d},
             spoilers=instance.spoilers - {d}))
         if sub.answer:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .core import Ballot, Election
 from .errors import ParseError, WrongSystem
@@ -252,80 +252,52 @@ def e1_second_winners(cands: frozenset[int], ballots: tuple[Ballot, ...]) -> fro
 class CountedForm:
     """A rule evaluated on packed multisets of a list of distinct ballots.
 
-    A subclass defines ``pack(n)`` for multisets of at most ``n`` ballots:
-    ``(units, classify, decode)``, where a multiset packs to the sum of one
-    unit per copy, ``classify`` maps packed multisets to hashable codes and
-    ``decode`` a code to its winner set.  Calling the object on a count
-    vector and ``codes`` both run ``pack``, so they cannot disagree.
+    A form is built for multisets of at most ``n`` ballots and packs once:
+    ``units[g]`` is one copy of ballot g, and a multiset packs to the sum
+    of one unit per copy, so a multiset and its complement within any
+    larger one differ by a subtraction.  ``codes`` maps a list of packed
+    multisets to hashable winner codes and returns them with ``decode``,
+    which maps a code to its winner set.
     """
 
-    def __call__(self, counts: tuple[int, ...]) -> frozenset[int]:
-        codes, decode = self.codes([(t,) for t in counts])
-        return decode(codes[0])
+    units: list[int]
 
-    def packing(self, n: int):
-        """``pack(n)``, built on the first call for each ``n`` and kept."""
-        kept = self.__dict__.setdefault("_packings", {})
-        if n not in kept:
-            kept[n] = self.pack(n)
-        return kept[n]
-
-    def codes(self, choices: Sequence[Sequence[int]], bases: Sequence[int] = (0,),
-              n: int | None = None):
-        """Winner codes of each base plus each count vector in ``product(*choices)``.
-
-        The choices count the first ``len(choices)`` ballots, the packed
-        bases the others.  Codes come base by base, each in product order,
-        packed for at most ``n`` ballots (default: the largest vector), so
-        calls with the same ``n`` give codes that compare.
-        """
-        units, classify, decode = self.packing(
-            sum(max(choice) for choice in choices) if n is None else n)
-        steps = [0]
-        for unit, choice in zip(units, choices):
-            steps = [s + t * unit for s in steps for t in choice]
-        return classify([base + s for base in bases for s in steps]), decode
+    def codes(self, packed: list[int]):
+        """The winner codes of ``packed``, and ``decode``."""
+        return self.classify(packed), self.decode
 
 
 class NotAllOneCounted(CountedForm):
-    """Counted form of not_all_one: tallies and scores in bit fields of one int."""
+    """Counted form of not_all_one: tallies and scores in bit fields of one int.
 
-    def __init__(self, cands: frozenset[int], groups: tuple[Ballot, ...]):
-        self.order = sorted(cands)
-        pos = {c: i for i, c in enumerate(self.order)}
-        self.tops = [pos[b[0]] for b in groups]
-        self.top4s = [[pos[c] for c in b[:4]] for b in groups]
+    ``units[g]`` is one copy of ballot g packed into one int: m tally
+    fields (top-choice counts), m score fields (top-four counts), then the
+    ballot total.  Code 0 means no winner.
 
-    def pack(self, n: int):
-        """The packing for multisets of at most ``n`` ballots.
+    Every field is w = k + 1 bits wide, where 2**k exceeds n.  Doubling
+    the tallies and adding 2**k - 1 - total to each field sets a field's
+    guard bit k exactly when 2 * tally > total, with no carry between
+    fields, so one addition runs the majority test for every candidate.
+    That guard bit (a strict majority is unique) is the multiset's code,
+    unless the blocking clause -- every other candidate scores exactly
+    one -- holds; that is one masked compare of the score fields.
+    """
 
-        Returns ``(units, classify, decode)``.  ``units[g]`` is one copy of
-        group g packed into one int: m tally fields (top-choice counts), m
-        score fields (top-four counts), then the ballot total.  A multiset
-        packs to the sum of its copies' units.  ``classify`` maps a list of
-        packed multisets to their winner codes, and ``decode`` a code to its
-        winner set; code 0 means no winner.
-
-        Every field is w = k + 1 bits wide, where 2**k exceeds n.  Doubling
-        the tallies and adding 2**k - 1 - total to each field sets a field's
-        guard bit k exactly when 2 * tally > total, with no carry between
-        fields, so one addition runs the majority test for every candidate.
-        That guard bit (a strict majority is unique) is the multiset's code,
-        unless the blocking clause -- every other candidate scores exactly
-        one -- holds; that is one masked compare of the score fields.
-        """
-        m = len(self.order)
+    def __init__(self, cands: frozenset[int], groups: tuple[Ballot, ...], n: int):
+        order = sorted(cands)
+        pos = {c: i for i, c in enumerate(order)}
+        m = len(order)
         k = n.bit_length()
         w = k + 1
         sh = w * m       # offset of the score fields
         tot = 2 * sh     # offset of the total
-        units = [(1 << w * top) + sum(1 << sh + w * q for q in top4) + (1 << tot)
-                 for top, top4 in zip(self.tops, self.top4s)]
+        self.units = [(1 << w * pos[b[0]]) + sum(1 << sh + w * pos[c] for c in b[:4])
+                      + (1 << tot) for b in groups]
         fields = sum(1 << w * p for p in range(m))
         high = fields << k
         bias = [((1 << k) - 1 - t) * fields for t in range(n + 1)]
         decode = {0: frozenset()}
-        for p, c in enumerate(self.order):
+        for p, c in enumerate(order):
             decode[1 << w * p + k] = frozenset({c})
         ones = fields << sh
         others = {1 << w * p + k: (fields ^ 1 << w * p) * ((1 << w) - 1) << sh
@@ -339,27 +311,28 @@ class NotAllOneCounted(CountedForm):
             return [h if (h := ((v << 1) + bias[v >> tot]) & high)
                     and (v ^ ones) & others[h] else 0 for v in vals]
 
-        return units, classify, decode.__getitem__
+        self.classify, self.decode = classify, decode.__getitem__
 
 
 class ExpandedForm(CountedForm):
     """A voter-anonymous rule's counted form when it has no kernel: the code
     is the count vector in base n + 1, which ``decode`` expands to ballots."""
 
-    def __init__(self, winners: Callable, cands: frozenset[int], groups: tuple[Ballot, ...]):
-        self.winners, self.cands, self.groups = winners, cands, groups
+    classify = staticmethod(list)
 
-    def pack(self, n: int):
-        radix, ones = n + 1, [(b,) for b in self.groups]
+    def __init__(self, winners: Callable, cands: frozenset[int],
+                 groups: tuple[Ballot, ...], n: int):
+        radix, ones = n + 1, [(b,) for b in groups]
+        self.units = [radix ** g for g in range(len(ones))]
 
         def decode(v: int) -> frozenset[int]:
             ballots = ()
             for one in ones:
                 ballots += one * (v % radix)
                 v //= radix
-            return self.winners(self.cands, ballots)
+            return winners(cands, ballots)
 
-        return [radix ** g for g in range(len(ones))], list, decode
+        self.decode = decode
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,24 +342,25 @@ class Rule:
     class of its own counted kernel, if it has one (``counted``).
 
     Every voter-anonymous rule has a counted form, which ``form`` builds
-    over a candidate set and its distinct ballots: the kernel, or else the
-    ``ExpandedForm``.  Adding and deleting voters classify running packed
-    sums with its ``pack``; voter partition walks count classes in mask
-    order, a chunk of blocks at a time, with its ``codes``."""
+    over a candidate set, its distinct ballots and a bound on the ballots:
+    the kernel, or else the ``ExpandedForm``.  Adding and deleting voters
+    classify running packed sums with its ``codes``, and voter partition
+    count classes with their complements, a chunk at a time."""
 
     winners: Callable[[frozenset[int], tuple[Ballot, ...]], frozenset[int]]
     voter_anonymous: bool
     tie_free: bool
     counted: type | None = None
 
-    def form(self, cands: frozenset[int], groups: tuple[Ballot, ...]) -> CountedForm:
-        """The counted form over ``cands`` and the distinct ballots ``groups``."""
+    def form(self, cands: frozenset[int], groups: tuple[Ballot, ...], n: int) -> CountedForm:
+        """The counted form over ``cands`` and the distinct ballots ``groups``,
+        for multisets of at most ``n`` ballots."""
         if not self.voter_anonymous:
             name = self.winners.__name__.removesuffix("_winners")
             raise WrongSystem(f"{name} is not voter-anonymous: it has no counted form")
         if self.counted is not None:
-            return self.counted(cands, groups)
-        return ExpandedForm(self.winners, cands, groups)
+            return self.counted(cands, groups, n)
+        return ExpandedForm(self.winners, cands, groups, n)
 
 
 # ATOMIC_TAGS keeps this order; the benchmark's system list is built from it

@@ -413,3 +413,21 @@ def test_instance_text_rejects_stray_and_repeated_directives(tmp_path, capsys, t
     assert code == 2
     assert out == ""
     assert message in err
+
+
+# bytes that are not UTF-8 are a user error, not a traceback and not a FAIL
+@pytest.mark.parametrize("argv", [
+    ("winners", "--system", "plurality", "--election"),
+    ("decide", "--instance"),
+    ("verify", "--from", "x3c", "--input"),
+    ("reduce", "--from", "x3c", "--to", "DCDV", "--output", "out.txt", "--input"),
+], ids=["winners", "decide", "verify", "reduce"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, argv):
+    f = tmp_path / "in.txt"
+    f.write_bytes(b"candidates 0\n\xff\n")
+    argv = [str(tmp_path / a) if a == "out.txt" else a for a in argv]
+    code, out, err = run(capsys, *argv, str(f))
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err
+    assert not (tmp_path / "out.txt").exists()

@@ -275,3 +275,28 @@ def test_graph_parse_errors():
         parse_graph("vertices 2\nedge 1 2 3\n")
     with pytest.raises(ParseError):
         parse_graph("vertices 2\nedge 1 5\n")
+
+
+# a universe line appears once and names distinct ids; a graph has at most
+# 16 vertices in either spelling
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_x3c, "base 1 2 3\nbase 4 5 6\nset 4 5 6\n", "line 2: repeated 'base' line"),
+    (parse_x3c, "base 1 1 2 3\nset 1 2 3\n", "line 1: duplicate candidate ids"),
+    (parse_graph, "vertices 2\nvertices 1 2 3\n", "line 2: repeated 'vertices' line"),
+    (parse_graph, "vertices 1 1 2\nedge 1 2\n", "line 1: duplicate candidate ids"),
+    (parse_graph, "vertices " + " ".join(map(str, range(18))) + "\n",
+     "line 1: more than 16 vertices"),
+    (parse_graph, "vertices 17\n", "line 1: more than 16 vertices"),
+], ids=["repeated-base", "duplicate-base", "repeated-vertices", "duplicate-vertices",
+        "18-listed-vertices", "17-counted-vertices"])
+def test_source_text_checks_its_universe_line(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
+def test_source_text_keeps_repeated_sets_and_the_lone_vertex_spelling():
+    assert parse_x3c("base 1 2 3\nset 1 2 3\nset 1 2 3\n").family == (
+        frozenset({1, 2, 3}),) * 2
+    assert parse_graph("vertices 5 5\n") == GraphInstance({5}, [])
+    assert parse_graph("vertices " + " ".join(map(str, range(16))) + "\n").vertices == (
+        frozenset(range(16)))

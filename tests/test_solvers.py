@@ -23,7 +23,7 @@ from votectrl.solvers import (
     route_and_solve_voters, _partition_voters_anonymous, CachedEvaluator,
     POLY_DECIDERS,
 )
-from votectrl.systems import ATOMIC_TAGS, RULES, atomic, hybrid, raw_winners
+from votectrl.systems import ATOMIC_TAGS, RULES, atomic, hybrid, raw_winners, route
 
 TWO_WAY = hybrid("e_first", "e_last")
 PLURALITY = atomic("plurality")
@@ -216,9 +216,17 @@ def test_ccac_poly_requires_hybrid():
 
 
 def test_ccac_poly_uniform_residue_delegation():
-    inst = AddCandidates(TWO_WAY, frozenset({0, 2}), frozenset({4}), 0,
-                         ((0, 2, 4),), CONSTRUCTIVE)
-    assert ccac_hybrid_poly(inst).answer == brute_force_decide(inst).answer
+    # uniform residue with no off-residue spoiler routes to that residue's
+    # constituent; a mixed-residue qualified set to the default
+    for inst, constituent in (
+            (AddCandidates(TWO_WAY, frozenset({0, 2}), frozenset({4}), 0,
+                           ((0, 2, 4),), CONSTRUCTIVE), atomic("e_first")),
+            (AddCandidates(TWO_WAY, frozenset({0, 1}), frozenset({2, 3}), 0,
+                           ((1, 0, 3, 2),), DESTRUCTIVE), atomic("e_last"))):
+        decision = ccac_hybrid_poly(inst)
+        assert decision == brute_force_decide(inst)
+        assert decision == brute_force_decide(replace(inst, system=constituent))
+        assert decision.answer
 
 
 def test_e1_prefix_ccdc_poly_example():
@@ -294,13 +302,20 @@ def test_destructive_poly_rejects_constructive():
 
 
 def test_route_and_solve_voters_matches_brute_force():
+    # the hybrid decides as the constituent its candidate set routes to,
+    # answer and witness; not_all_one takes the counted kernel
     rng = random.Random(9)
-    sid = hybrid("plurality", "condorcet")
-    for _ in range(40):
-        shape = rng.choice(("AV", "DV"))
-        inst = random_instance(rng, shape, rng.choice((CONSTRUCTIVE, DESTRUCTIVE)),
-                               sid, tie=rng.choice((TE, TP)))
-        assert route_and_solve_voters(inst).answer == brute_force_decide(inst).answer
+    for sid in (hybrid("plurality", "condorcet"), hybrid("not_all_one", "plurality")):
+        routed = set()
+        for _ in range(60):
+            shape = rng.choice(("AV", "DV"))
+            inst = random_instance(rng, shape, rng.choice((CONSTRUCTIVE, DESTRUCTIVE)),
+                                   sid, tie=rng.choice((TE, TP)))
+            constituent = route(sid, inst.candidates)
+            routed.add(constituent)
+            assert route_and_solve_voters(inst) == brute_force_decide(
+                replace(inst, system=constituent))
+        assert routed == set(sid.constituents)
 
 
 def test_poly_registry_covers_the_expected_control_types():

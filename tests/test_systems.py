@@ -89,16 +89,23 @@ class TestNotAllOne:
         groups = data.draw(st.lists(
             st.permutations(order).map(tuple), min_size=1, max_size=4,
             unique=True))
-        counts = tuple(data.draw(st.integers(0, 5)) for _ in groups)
-        form = RULES[tag].form(cands, tuple(groups))
-        flat = tuple(b for b, k in zip(groups, counts) for _ in range(k))
-        assert form(counts) == run(tag, cands, flat)
+        totals = [data.draw(st.integers(0, 5)) for _ in groups]
+        counts = [data.draw(st.integers(0, t)) for t in totals]
+        form = RULES[tag].form(cands, tuple(groups), sum(totals))
+        full = sum(u * t for u, t in zip(form.units, totals))
+        v = sum(u * k for u, k in zip(form.units, counts))
+        # a multiset and its complement within all the ballots, as voter
+        # partition packs them: v and full - v
+        codes, decode = form.codes([v, full - v])
+        for code, kept in zip(codes, (counts, [t - k for t, k in zip(totals, counts)])):
+            flat = tuple(b for b, k in zip(groups, kept) for _ in range(k))
+            assert decode(code) == run(tag, cands, flat)
 
 
 @pytest.mark.parametrize("tag", [t for t in ATOMIC_TAGS if t not in ANONYMOUS_TAGS])
 def test_a_rule_that_reads_ballot_order_has_no_counted_form(tag):
     with pytest.raises(WrongSystem, match=f"{tag} is not voter-anonymous"):
-        RULES[tag].form(frozenset({0, 1}), ((0, 1), (1, 0)))
+        RULES[tag].form(frozenset({0, 1}), ((0, 1), (1, 0)), 2)
 
 
 def test_e_first_and_e_last_need_exactly_one_ballot():
