@@ -76,12 +76,13 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     packs as the outer part's sum plus each inner part's sum.
 
     Swapping the sides changes no outcome, so a class wins exactly when its
-    complement does.  A class packed as v has its complement at full - v,
-    where full packs every ballot; each chunk of blocks is classified with
-    those complements, the new (side-1, side-2) code pairs are judged in
-    order through ``evaluate`` up to the first winner, and a block whose
-    complement block came first is skipped: a no-instance classifies each
-    class once.
+    complement does; a class packed as v has its complement at full - v,
+    where full packs every ballot.  A block is one lane int, its complement
+    block full in every lane less it, and one ``codes`` call classifies
+    each.  The new (side-1, side-2) code pairs are judged in order through
+    ``evaluate`` up to the first winner, whose lane is its inner part; a
+    block whose complement block came first is skipped, so a no-instance
+    classifies each class once.
     """
     groups: dict[tuple, list[int]] = {}
     for i, b in enumerate(instance.ballots):
@@ -101,7 +102,7 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     inner, classes, cut = [], 1, 0
     for ix in groups.values():
         classes *= len(ix) + 1
-        if ix[0] != cut or ix[-1] != cut + len(ix) - 1 or classes > 64:
+        if ix[0] != cut or ix[-1] != cut + len(ix) - 1 or classes > 256:
             break
         inner.insert(0, ix)   # highest group first, most significant
         cut += len(ix)
@@ -112,37 +113,29 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     full = sum(unit * len(ix) for unit, ix in zip(units, inner + outer))
     masks, vals = _classes(outer, units[len(inner):])
     inner_masks, inner_sums = _classes(inner, units)
-    last = len(masks) - 1
+    count, last = len(inner_sums), len(masks) - 1
+    ones = form.ones(count)
+    block, whole = form.lanes(inner_sums), full * ones
 
-    def unjudged():
-        """The blocks in mask order, less those whose complement came first."""
-        judged = bytearray(len(masks))
-        for o in sorted(range(len(masks)), key=masks.__getitem__):
-            if not judged[last - o]:
-                judged[o] = 1
-                yield o
-
-    # chunks double from one block up to 64: an early witness costs
-    # little, and a long search few calls
-    want, tie = instance.goal == CONSTRUCTIVE, instance.tie
-    blocks, size, lost = unjudged(), 1, set()
-    while chunk := list(islice(blocks, size)):
-        sums = [vals[o] + v for o in chunk for v in inner_sums]
-        codes, decode = form.codes(sums + [full - v for v in sums])
-        comps = codes[len(sums):]
+    want, tie, lost = instance.goal == CONSTRUCTIVE, instance.tie, set()
+    judged = bytearray(len(masks))
+    for o in sorted(range(len(masks)), key=masks.__getitem__):
+        if judged[last - o]:
+            continue
+        judged[o] = 1
+        lanes = block + vals[o] * ones
+        codes, decode = form.codes(lanes, count)
+        comps, _ = form.codes(whole - lanes, count)
         for pair in dict.fromkeys(zip(codes, comps)):
             if pair in lost:
                 continue
             if unique_winner(evaluate(_survivors(tie, decode(pair[0]))
                                       | _survivors(tie, decode(pair[1]))),
                              instance.distinguished) == want:
-                j = next(j for j, seen in enumerate(zip(codes, comps)) if seen == pair)
-                block, part = divmod(j, len(inner_sums))
-                best = masks[chunk[block]] | inner_masks[part]
+                best = masks[o] | inner_masks[list(zip(codes, comps)).index(pair)]
                 side1 = frozenset(i for i in range(n) if best >> i & 1)
                 return Decision(True, VoterPartition(side1))
             lost.update((pair, pair[::-1]))
-        size = min(2 * size, 64)
     return Decision(False, None)
 
 
@@ -153,10 +146,10 @@ def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, rule: Rule
     The chosen subsets come in the canonical order of ``_subsets``, as
     tuples of packed units, one unit per pool ballot.  A subset's election
     packs to the registered ballots plus its units (adding) or to all the
-    ballots minus its units (deleting), so each costs one sum; the rule's
-    counted form's ``codes`` classifies these sums a chunk at a time, and
-    the first code in the chunk that meets the goal names the witness by
-    its position.
+    ballots minus its units (deleting), so each costs one sum.  Each chunk
+    of sums is laid into lanes and classified by one call of the counted
+    form's ``codes``, and the first code in the chunk that meets the goal
+    names the witness by its lane.
     """
     adding = shape.code == "AV"
     pool = instance.unregistered if adding else instance.ballots
@@ -179,11 +172,11 @@ def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, rule: Rule
     # subsets costs little, and memory stays bounded on a long search
     done, size = 0, 16
     while chunk := list(islice(packed, size)):
-        codes, decode = form.codes(chunk)
+        codes, decode = form.codes(form.lanes(chunk), len(chunk))
         for code in dict.fromkeys(codes):
             if unique_winner(decode(code), instance.distinguished) == want:
                 _, subsets = _subsets(range(len(pool)), instance.limit)
-                witness = next(islice(subsets, done + codes.index(code), None))
+                witness = next(islice(subsets, done + list(codes).index(code), None))
                 return Decision(True, shape.action(frozenset(witness)))
         done += len(chunk)
         size = min(2 * size, 4096)

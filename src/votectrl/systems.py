@@ -250,89 +250,109 @@ def e1_second_winners(cands: frozenset[int], ballots: tuple[Ballot, ...]) -> fro
 
 
 class CountedForm:
-    """A rule evaluated on packed multisets of a list of distinct ballots.
+    """A rule evaluated on many packed multisets of distinct ballots at once.
 
     A form is built for multisets of at most ``n`` ballots and packs once:
-    ``units[g]`` is one copy of ballot g, and a multiset packs to the sum
-    of one unit per copy, so a multiset and its complement within any
-    larger one differ by a subtraction.  ``codes`` maps a list of packed
-    multisets to hashable winner codes and returns them with ``decode``,
-    which maps a code to its winner set.
+    ``units[g]`` is one copy of ballot g, and a multiset packs to the sum of
+    one unit per copy, a natural below 2**width, so its complement within a
+    larger multiset is a subtraction.  Multiset j of a lane int sits in
+    bits [j*width, (j+1)*width), so one addition acts on every lane.
+    ``codes(lanes, count)`` returns one hashable winner code per lane, and
+    ``decode``, which maps a code to its winner set.
     """
 
     units: list[int]
+    width: int   # bits per lane, a multiple of 8
 
-    def codes(self, packed: list[int]):
-        """The winner codes of ``packed``, and ``decode``."""
-        return self.classify(packed), self.decode
+    def lanes(self, packed: Iterable[int]) -> int:
+        """The packed multisets ``packed``, one per lane."""
+        size = self.width >> 3
+        return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in packed]), "little")
+
+    def ones(self, count: int) -> int:
+        """A 1 in each of ``count`` lanes; times v, v in every lane."""
+        return ((1 << count * self.width) - 1) // ((1 << self.width) - 1)
 
 
 class NotAllOneCounted(CountedForm):
-    """Counted form of not_all_one: tallies and scores in bit fields of one int.
+    """Counted form of not_all_one: tallies and scores in bit fields.
 
-    ``units[g]`` is one copy of ballot g packed into one int: m tally
-    fields (top-choice counts), m score fields (top-four counts), then the
-    ballot total.  Code 0 means no winner.
-
-    Every field is w = k + 1 bits wide, where 2**k exceeds n.  Doubling
-    the tallies and adding 2**k - 1 - total to each field sets a field's
-    guard bit k exactly when 2 * tally > total, with no carry between
-    fields, so one addition runs the majority test for every candidate.
-    That guard bit (a strict majority is unique) is the multiset's code,
-    unless the blocking clause -- every other candidate scores exactly
-    one -- holds; that is one masked compare of the score fields.
+    A lane holds a tally field per top choice (a candidate some distinct
+    ballot ranks first; no other can hold a strict majority), a top-four
+    score field per candidate, top choices first in the same order, and a
+    spare bit.  Fields are w = k + 1 bits, 2**k > n.  A unit adds 2 to its
+    top choice's tally field and takes 1 from every tally field; ``codes``
+    adds 2**k - 1 to each, so guard bit k is set exactly when 2 * tally >
+    total, with no borrow between fields.  The blocking clause (every other
+    candidate scores exactly one) is one masked compare of the score fields
+    less the unique majority's own, carried into the spare bit.  A lane's
+    code is 1 + its winner's index among the top choices, or 0 for none.
     """
 
     def __init__(self, cands: frozenset[int], groups: tuple[Ballot, ...], n: int):
-        order = sorted(cands)
+        tops = sorted({b[0] for b in groups})
+        order = tops + sorted(cands.difference(tops))
         pos = {c: i for i, c in enumerate(order)}
-        m = len(order)
-        k = n.bit_length()
+        t, m, k = len(tops), len(order), n.bit_length()
         w = k + 1
-        sh = w * m       # offset of the score fields
-        tot = 2 * sh     # offset of the total
-        self.units = [(1 << w * pos[b[0]]) + sum(1 << sh + w * pos[c] for c in b[:4])
-                      + (1 << tot) for b in groups]
-        fields = sum(1 << w * p for p in range(m))
-        high = fields << k
-        bias = [((1 << k) - 1 - t) * fields for t in range(n + 1)]
-        decode = {0: frozenset()}
-        for p, c in enumerate(order):
-            decode[1 << w * p + k] = frozenset({c})
-        ones = fields << sh
-        others = {1 << w * p + k: (fields ^ 1 << w * p) * ((1 << w) - 1) << sh
-                  for p in range(m)}
+        sh = w * t       # offset of the score fields
+        size = 1 if t < 255 else 2 if t < 65535 else 4   # bytes per code
+        self.width = -(-(w * (t + m) + 1) // (8 * size)) * 8 * size
+        self.k, self.w, self.sh, self.t, self.spare = k, w, sh, t, self.width - 1
+        tallies = ((1 << sh) - 1) // ((1 << w) - 1)   # a 1 in each tally field
+        scores = ((1 << w * m) - 1) // ((1 << w) - 1) << sh
+        self.units = [(2 << w * pos[b[0]]) - tallies + sum([1 << sh + w * pos[c] for c in b[:4]])
+                      for b in groups]
+        # with no other candidate, fill always carries: the blocking clause cannot trigger
+        self.fields = (((1 << k) - 1) * tallies, scores, ((1 << k) - 1) * scores, scores << k,
+                       tallies << k, (1 << self.spare) - (m > 1), 1 << self.spare)
+        self.spread: dict[int, tuple[int, ...]] = {}   # fields in every lane, by count
+        # codes are read in the host's byte order
+        self.fmt, self.step = "BHI"[size.bit_length() - 1], self.width // (8 * size)
+        keys = memoryview(b"".join([p.to_bytes(size, "little") for p in range(t + 1)]))
+        self.decode = dict(zip(keys.cast(self.fmt),
+                               [frozenset()] + [frozenset({c}) for c in tops])).__getitem__
 
-        def classify(vals: list[int]) -> list[int]:
-            if m == 1:
-                # the blocking clause ranges over the other candidates; with
-                # none, a lone majority candidate wins
-                return [((v << 1) + bias[v >> tot]) & high for v in vals]
-            return [h if (h := ((v << 1) + bias[v >> tot]) & high)
-                    and (v ^ ones) & others[h] else 0 for v in vals]
-
-        self.classify, self.decode = classify, decode.__getitem__
+    def codes(self, lanes: int, count: int):
+        """The winner codes of ``count`` lanes, and ``decode``."""
+        if count not in self.spread:
+            self.spread[count] = tuple(map(self.ones(count).__mul__, self.fields))
+        zero, ones, low, score_guards, tally_guards, fill, spare = self.spread[count]
+        x = lanes + zero
+        top = x & tally_guards   # the majority's guard bit
+        other = ((x ^ ones) + low) & (score_guards ^ top << self.sh)   # scores != 1
+        free = (other + fill & spare) >> self.spare   # 1 when not blocked
+        code = top >> self.k & free
+        for p in range(1, self.t):
+            code += (top >> self.w * p + self.k & free) * (p + 1)
+        data = code.to_bytes(count * self.width >> 3, "little")
+        return memoryview(data).cast(self.fmt)[::self.step], self.decode
 
 
 class ExpandedForm(CountedForm):
-    """A voter-anonymous rule's counted form when it has no kernel: the code
-    is the count vector in base n + 1, which ``decode`` expands to ballots."""
-
-    classify = staticmethod(list)
+    """A voter-anonymous rule's counted form when it has no kernel: a lane
+    holds the count vector in base n + 1, the tuple of its bytes is the
+    code, and ``decode`` expands it to ballots for the winner function."""
 
     def __init__(self, winners: Callable, cands: frozenset[int],
                  groups: tuple[Ballot, ...], n: int):
         radix, ones = n + 1, [(b,) for b in groups]
         self.units = [radix ** g for g in range(len(ones))]
+        self.width = -(-(radix ** len(ones)).bit_length() // 8) * 8
 
-        def decode(v: int) -> frozenset[int]:
-            ballots = ()
+        def decode(code: tuple[int, ...]) -> frozenset[int]:
+            v, ballots = int.from_bytes(code, "little"), ()
             for one in ones:
                 ballots += one * (v % radix)
                 v //= radix
             return winners(cands, ballots)
 
         self.decode = decode
+
+    def codes(self, lanes: int, count: int):
+        """The winner codes of ``count`` lanes, and ``decode``."""
+        data = iter(lanes.to_bytes(count * self.width >> 3, "little"))
+        return list(zip(*[data] * (self.width >> 3))), self.decode
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,9 +363,9 @@ class Rule:
 
     Every voter-anonymous rule has a counted form, which ``form`` builds
     over a candidate set, its distinct ballots and a bound on the ballots:
-    the kernel, or else the ``ExpandedForm``.  Adding and deleting voters
-    classify running packed sums with its ``codes``, and voter partition
-    count classes with their complements, a chunk at a time."""
+    the kernel, or else the ``ExpandedForm``.  Its ``codes`` classifies a
+    lane int at a time: adding and deleting voters a chunk of packed sums,
+    voter partition a block of count classes and then its complements."""
 
     winners: Callable[[frozenset[int], tuple[Ballot, ...]], frozenset[int]]
     voter_anonymous: bool

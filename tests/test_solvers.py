@@ -197,6 +197,38 @@ def test_anonymous_voter_partition_at_packed_field_boundaries(copies):
                                               ballots, TE, goal))
 
 
+# ten distinct ballots whose witnesses lie beyond the first block: under
+# not_all_one, c = 2 needs ballots 0 and 8 on side 1 (mask 257); under
+# plurality, c = 3 needs ballot 8 alone (mask 256, the second block's first
+# lane) and c = 1 ballots 0 to 8 (mask 511, its last lane)
+LATE_WITNESSES = {
+    "not_all_one": [(2, "2301 0312 0321 1032 3102 0132 1320 0213 2103 3120")],
+    "plurality": [(3, "1230 0213 2031 0312 2310 1320 2103 0231 3102 1302"),
+                  (1, "2013 0321 3102 0312 0123 3021 3210 3120 0132 1230")],
+}
+
+
+@pytest.mark.parametrize("tag", ["not_all_one", "plurality"])
+def test_anonymous_voter_partition_across_lane_blocks(tag):
+    # ten distinct ballots, one copy each: the eight lowest groups make an
+    # inner block of 2**8 = 256 lanes, the two highest four outer blocks
+    cands = frozenset(range(4))
+    rng = random.Random(17)
+    perms = list(itertools.permutations(sorted(cands)))
+    draws = [(c, tuple(tuple(map(int, b)) for b in text.split()))
+             for c, text in LATE_WITNESSES[tag]]
+    draws += [(rng.randrange(4), tuple(rng.sample(perms, 10))) for _ in range(6)]
+    seen = []
+    for c, ballots in draws:
+        inst = PartitionVoters(atomic(tag), cands, c, ballots, TE, CONSTRUCTIVE)
+        for variant in _goal_and_tie_variants(inst):
+            fast = _partition_voters_anonymous(variant, CachedEvaluator(variant), 2 ** 24)
+            assert fast == naive_partition_voters(variant), variant
+            seen.append(fast)
+    assert not all(d.answer for d in seen)
+    assert any(d.answer and max(d.witness.side1, default=0) >= 8 for d in seen)
+
+
 # --- polynomial deciders -----------------------------------------------------
 
 

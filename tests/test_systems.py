@@ -8,7 +8,7 @@ from votectrl.core import Election
 from votectrl.errors import ParseError, WrongSystem
 from votectrl.systems import (
     ATOMIC_TAGS, RULES, SystemId, atomic, format_system, hybrid, hybrid_base, parse_system,
-    raw_winners, route, winners,
+    not_all_one_winners, raw_winners, route, winners,
 )
 
 
@@ -83,23 +83,65 @@ class TestNotAllOne:
         # every voter-anonymous rule's form: the not_all_one kernel, and the
         # expanded form of the rules without a kernel
         tag = data.draw(st.sampled_from(ANONYMOUS_TAGS))
-        m = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 6))
         cands = frozenset(range(m))
         order = sorted(cands)
         groups = data.draw(st.lists(
             st.permutations(order).map(tuple), min_size=1, max_size=4,
             unique=True))
         totals = [data.draw(st.integers(0, 5)) for _ in groups]
-        counts = [data.draw(st.integers(0, t)) for t in totals]
         form = RULES[tag].form(cands, tuple(groups), sum(totals))
         full = sum(u * t for u, t in zip(form.units, totals))
-        v = sum(u * k for u, k in zip(form.units, counts))
-        # a multiset and its complement within all the ballots, as voter
-        # partition packs them: v and full - v
-        codes, decode = form.codes([v, full - v])
-        for code, kept in zip(codes, (counts, [t - k for t, k in zip(totals, counts)])):
-            flat = tuple(b for b, k in zip(groups, kept) for _ in range(k))
+        # 1 to 8 multisets in one call, each in the lane next to its
+        # complement within all the ballots, as voter partition packs them:
+        # v and full - v, so the largest packed values sit side by side
+        kept = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            counts = [data.draw(st.integers(0, t)) for t in totals]
+            kept += [counts, [t - k for t, k in zip(totals, counts)]]
+        packed = [sum(u * k for u, k in zip(form.units, counts)) for counts in kept]
+        assert all(v + w == full for v, w in zip(packed[::2], packed[1::2]))
+        codes, decode = form.codes(form.lanes(packed), len(packed))
+        assert len(codes) == len(packed)
+        for code, counts in zip(codes, kept):
+            flat = tuple(b for b, k in zip(groups, counts) for _ in range(k))
             assert decode(code) == run(tag, cands, flat)
+
+    def test_a_candidate_that_tops_no_ballot_gets_no_tally_field(self):
+        # 0 and 2 top the ballots, so a lane holds two tally fields and five
+        # score fields of k + 1 = 3 bits, and a spare bit: 22 bits, 3 bytes
+        cands = frozenset(range(5))
+        groups = ((0, 1, 2, 3, 4), (2, 3, 4, 1, 0), (0, 4, 3, 2, 1), (2, 1, 0, 4, 3))
+        form = RULES["not_all_one"].form(cands, groups, 3)
+        assert form.width == 24
+        kept = [c for c in product(range(4), repeat=4) if sum(c) <= 3]
+        packed = [sum(u * k for u, k in zip(form.units, c)) for c in kept]
+        codes, decode = form.codes(form.lanes(packed), len(packed))
+        assert set(codes) <= {0, 1, 2}
+        for code, counts in zip(codes, kept):
+            flat = tuple(b for b, k in zip(groups, counts) for _ in range(k))
+            assert decode(code) == run("not_all_one", cands, flat)
+        assert {decode(code) for code in codes} == {frozenset(), frozenset({0}),
+                                                    frozenset({2})}
+
+    def test_three_hundred_top_choices_take_codes_wider_than_a_byte(self):
+        # ballot i ranks i first; the winner of a lane is one of 300 top
+        # choices, so its code needs two bytes
+        m = 300
+        cands = frozenset(range(m))
+        groups = tuple(tuple(range(i, m)) + tuple(range(i)) for i in range(m))
+        form = RULES["not_all_one"].form(cands, groups, 4)
+        rng = random.Random(300)
+        kept = [{m - 1: 1}, {0: 1}, {}, {255: 2, 3: 1}, {299: 3, 298: 1},
+                {7: 2, 8: 2}, {5: 1, 6: 1, 7: 1}, {1: 1, 2: 1, 3: 1, 4: 1}]
+        kept += [{rng.randrange(m): 3, rng.randrange(m): 1} for _ in range(40)]
+        packed = [sum(form.units[g] * k for g, k in c.items()) for c in kept]
+        codes, decode = form.codes(form.lanes(packed), len(packed))
+        assert max(codes) > 255
+        for code, counts in zip(codes, kept):
+            flat = tuple(groups[g] for g, k in sorted(counts.items()) for _ in range(k))
+            assert decode(code) == not_all_one_winners(cands, flat)
+        assert decode(codes[0]) == {m - 1}
 
 
 @pytest.mark.parametrize("tag", [t for t in ATOMIC_TAGS if t not in ANONYMOUS_TAGS])

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps names inside ``votectrl`` by attribute; a
 renamed or moved one must fail here, not only in a benchmark run."""
 
+from math import prod
 from pathlib import Path
 
 from votectrl.control import DeleteCandidates, DeleteSet, CONSTRUCTIVE
@@ -49,3 +50,31 @@ def test_tracer_counts_the_classes_of_deleting_voters(monkeypatch):
         tracer.uninstall()
     assert decision.answer
     assert tracer.classes > 0
+
+
+def test_tracer_counts_the_lanes_of_a_voter_partition_no_instance(monkeypatch):
+    # DCPV on a family with no exact cover classifies every count class once,
+    # each block of lanes with its complement block
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    family = [(3, 5, 6), (2, 3, 6), (1, 3, 6), (3, 4, 5), (2, 5, 6), (2, 3, 4), (1, 3, 5)]
+    gadget = reduce_x3c(X3CInstance(range(1, 7), family), "DCPV")
+    tracer = tracing.Tracer(0)
+    tracer.install()
+    try:
+        decision = brute_force_decide(gadget)
+    finally:
+        tracer.uninstall()
+    assert not decision.answer
+    # the lead ballot, seven fillers and seven distinct set ballots, in that
+    # order: the lowest groups up to 256 classes make the inner block (2 * 8
+    # * 2**4), the other three sets 2**3 outer blocks, of which half are
+    # judged, each complement pair once
+    sizes = [1, 7] + [1] * 7
+    inner = 1
+    while inner * (sizes[0] + 1) <= 256:
+        inner *= sizes.pop(0) + 1
+    outer = prod(size + 1 for size in sizes)
+    assert (inner, outer) == (256, 8)
+    assert tracer.classes == 2 * inner * ((outer + 1) // 2)
