@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import (
@@ -28,9 +29,6 @@ CONSTRUCTIVE = "constructive"
 DESTRUCTIVE = "destructive"
 TE = "TE"
 TP = "TP"
-
-# evaluate(S): the winners of the instance's ballots restricted to S
-Evaluator = Callable[[frozenset[int]], frozenset[int]]
 
 
 class _Instance:
@@ -209,12 +207,12 @@ ControlAction = Union[
 ]
 
 
-# --- final elections, one per shape ----------------------------------------
+# --- final elections and bound checks, one of each per shape ---------------
 #
-# Each checks the action against the instance's bounds, raising
-# BoundViolation, and returns the winner set of the election it leads to.
-# Candidate-set elections go through ``evaluate``; elections over a subset
-# of the voters call ``raw_winners`` directly.
+# A final election runs on the set the chair chose, with no bound checks; a
+# check raises BoundViolation on an action outside the instance's bounds and
+# returns the set it chose.  Candidate-set elections go through ``evaluate``;
+# elections over a subset of the voters call ``raw_winners`` directly.
 
 
 class CachedEvaluator:
@@ -222,8 +220,10 @@ class CachedEvaluator:
     restricted to the candidate set ``S``, memoized by ``S``.
 
     The memo is valid only for the instance it was built from.  On a miss,
-    each distinct ballot is restricted once and the results are laid back
-    out in the original ballot order, which several rules read.
+    one ``restrict`` call projects the distinct ballots, laid end to end,
+    onto ``S``.  Every ballot ranks the whole universe, of which ``S`` is a
+    subset, so the result splits into rows of ``len(S)``, laid back out in
+    the original ballot order, which several rules read.
     """
 
     def __init__(self, instance: ControlInstance):
@@ -231,15 +231,18 @@ class CachedEvaluator:
         self.system = instance.system
         self._memo: dict[frozenset[int], frozenset[int]] = {}
         profile: dict[Ballot, int] = {}
-        self._order = tuple(profile.setdefault(b, len(profile)) for b in instance.ballots)
-        self._distinct = tuple(profile)
+        order = [profile.setdefault(b, len(profile)) for b in instance.ballots]
+        self._flat = list(chain.from_iterable(profile))
+        self._empty_rows = [()] * len(profile)
+        # itemgetter(i) returns a row, not a tuple; one ballot or none is already in order
+        self._layout = itemgetter(*order) if len(order) > 1 else tuple
 
     def __call__(self, cands: frozenset[int]) -> frozenset[int]:
         ws = self._memo.get(cands)
         if ws is None:
-            restricted = [restrict(b, cands) for b in self._distinct]
-            ws = self._memo[cands] = raw_winners(
-                self.system, cands, tuple(map(restricted.__getitem__, self._order)))
+            flat = iter(restrict(self._flat, cands))
+            rows = list(zip(*[flat] * len(cands))) or self._empty_rows
+            ws = self._memo[cands] = raw_winners(self.system, cands, self._layout(rows))
         return ws
 
 
@@ -248,72 +251,90 @@ def _survivors(tie: str, ws: frozenset[int]) -> frozenset[int]:
     return ws if tie != TE or len(ws) == 1 else frozenset()
 
 
-def _add_candidates(instance, action, evaluate):
+def _add_candidates(instance, added, evaluate):
+    return evaluate(instance.qualified.union(added))
+
+
+def _delete_candidates(instance, deleted, evaluate):
+    return evaluate(instance.candidates.difference(deleted))
+
+
+def _partition_candidates(instance, side1, evaluate):
+    return evaluate(_survivors(instance.tie, evaluate(side1)) | (instance.candidates - side1))
+
+
+def _runoff_partition_candidates(instance, side1, evaluate):
+    s1 = _survivors(instance.tie, evaluate(side1))
+    return evaluate(s1 | _survivors(instance.tie, evaluate(instance.candidates - side1)))
+
+
+def _add_voters(instance, added, evaluate):
+    ballots = instance.registered + tuple(instance.unregistered[i] for i in sorted(added))
+    return raw_winners(instance.system, instance.candidates, ballots)
+
+
+def _delete_voters(instance, deleted, evaluate):
+    ballots = tuple(b for i, b in enumerate(instance.ballots) if i not in deleted)
+    return raw_winners(instance.system, instance.candidates, ballots)
+
+
+def _partition_voters(instance, side1, evaluate):
+    sid, cands = instance.system, instance.candidates
+    v1 = tuple(b for i, b in enumerate(instance.ballots) if i in side1)
+    v2 = tuple(b for i, b in enumerate(instance.ballots) if i not in side1)
+    return evaluate(_survivors(instance.tie, raw_winners(sid, cands, v1))
+                    | _survivors(instance.tie, raw_winners(sid, cands, v2)))
+
+
+def _added_spoilers(instance, action):
     if not action.added <= instance.spoilers:
         raise BoundViolation("can only add spoiler candidates")
-    return evaluate(instance.qualified | action.added)
+    return action.added
 
 
-def _delete_candidates(instance, action, evaluate):
+def _deleted_candidates(instance, action):
     if not action.deleted <= instance.candidates:
         raise BoundViolation("can only delete existing candidates")
     if len(action.deleted) > instance.limit:
         raise BoundViolation(f"deleted {len(action.deleted)} > limit {instance.limit}")
     if instance.goal == DESTRUCTIVE and instance.distinguished in action.deleted:
         raise BoundViolation("destructive control may not delete the distinguished candidate")
-    return evaluate(instance.candidates - action.deleted)
+    return action.deleted
 
 
-def _side1_survivors(instance, action, evaluate):
+def _candidate_side1(instance, action):
     if action.side1 | action.side2 != instance.candidates:
         raise BoundViolation("partition sides must cover the candidate set")
-    return _survivors(instance.tie, evaluate(action.side1))
+    return action.side1
 
 
-def _partition_candidates(instance, action, evaluate):
-    return evaluate(_side1_survivors(instance, action, evaluate) | action.side2)
-
-
-def _runoff_partition_candidates(instance, action, evaluate):
-    s1 = _side1_survivors(instance, action, evaluate)
-    return evaluate(s1 | _survivors(instance.tie, evaluate(action.side2)))
-
-
-def _add_voters(instance, action, evaluate):
+def _added_voters(instance, action):
     if not all(0 <= i < len(instance.unregistered) for i in action.added):
         raise BoundViolation("added voter index out of range")
     if len(action.added) > instance.limit:
         raise BoundViolation(f"added {len(action.added)} > limit {instance.limit}")
-    ballots = instance.registered + tuple(
-        instance.unregistered[i] for i in sorted(action.added))
-    return raw_winners(instance.system, instance.candidates, ballots)
+    return action.added
 
 
-def _delete_voters(instance, action, evaluate):
+def _deleted_voters(instance, action):
     if not all(0 <= i < len(instance.ballots) for i in action.deleted):
         raise BoundViolation("deleted voter index out of range")
     if len(action.deleted) > instance.limit:
         raise BoundViolation(f"deleted {len(action.deleted)} > limit {instance.limit}")
-    ballots = tuple(b for i, b in enumerate(instance.ballots)
-                    if i not in action.deleted)
-    return raw_winners(instance.system, instance.candidates, ballots)
+    return action.deleted
 
 
-def _partition_voters(instance, action, evaluate):
+def _voter_side1(instance, action):
     if not all(0 <= i < len(instance.ballots) for i in action.side1):
         raise BoundViolation("partition voter index out of range")
-    sid, cands = instance.system, instance.candidates
-    v1 = tuple(b for i, b in enumerate(instance.ballots) if i in action.side1)
-    v2 = tuple(b for i, b in enumerate(instance.ballots) if i not in action.side1)
-    return evaluate(_survivors(instance.tie, raw_winners(sid, cands, v1))
-                    | _survivors(instance.tie, raw_winners(sid, cands, v2)))
+    return action.side1
 
 
-# --- canonical action enumerations, one per shape --------------------------
+# --- canonical enumerations, one per shape ---------------------------------
 #
 # Each returns the number of legal actions, for the budget check, and an
-# iterator over them in canonical order: subsets by size then
-# lexicographically, partitions by binary mask, ascending.
+# iterator over the sets they choose in canonical order: subsets by size
+# then lexicographically, partitions by binary mask, ascending.
 
 
 def _subsets(pool: Sequence, max_size: int) -> tuple[int, Iterator[tuple]]:
@@ -324,47 +345,38 @@ def _subsets(pool: Sequence, max_size: int) -> tuple[int, Iterator[tuple]]:
             chain.from_iterable(combinations(pool, s) for s in sizes))
 
 
-def _subset_actions(make: type, pool: Sequence[int], max_size: int) -> tuple[int, Iterator]:
-    """Actions ``make(subset)`` over the subsets of a sorted pool."""
-    count, subsets = _subsets(pool, max_size)
-    return count, map(make, subsets)
-
-
-def _sides(order: Sequence[int]) -> tuple[int, Iterator[frozenset[int]]]:
-    """Side-1 sets by ascending mask, bit j standing for ``order[j]``."""
-    m = len(order)
-    return 2 ** m, (frozenset(order[j] for j in range(m) if mask >> j & 1)
-                    for mask in range(2 ** m))
+def _sides(order: Sequence[int]) -> Iterator[frozenset[int]]:
+    """Side-1 sets by ascending mask, bit j standing for ``order[j]``, built
+    only once the first is asked for: one union each of a set over the high
+    half of ``order`` and one over the low half, which counts fastest."""
+    half = len(order) // 2
+    low, high = [frozenset()], [frozenset()]
+    for sets, part in ((low, order[:half]), (high, order[half:])):
+        for c in part:
+            sets += [s | {c} for s in sets]
+    yield from (lo | hi for hi in high for lo in low)
 
 
 def _add_sets(instance):
-    return _subset_actions(AddSet, sorted(instance.spoilers), len(instance.spoilers))
+    return _subsets(sorted(instance.spoilers), len(instance.spoilers))
 
 
 def _delete_sets(instance):
-    pool = sorted(instance.candidates)
-    if instance.goal == DESTRUCTIVE:
-        pool.remove(instance.distinguished)
-    return _subset_actions(DeleteSet, pool, instance.limit)
+    spared = {instance.distinguished} if instance.goal == DESTRUCTIVE else set()
+    return _subsets(sorted(instance.candidates - spared), instance.limit)
 
 
-def _candidate_partitions(instance):
-    every = instance.candidates
-    count, sides = _sides(sorted(every))
-    return count, (CandidatePartition(side1, every - side1) for side1 in sides)
+def _candidate_sides(instance):
+    return 2 ** len(instance.candidates), _sides(sorted(instance.candidates))
 
 
-def _add_voter_sets(instance):
-    return _subset_actions(AddVoterSet, range(len(instance.unregistered)), instance.limit)
+def _voter_sets(instance):
+    """Index subsets of the ballot list that bounds k: ``unregistered`` or ``ballots``."""
+    return _subsets(range(len(getattr(instance, shape_of(instance).k_cap))), instance.limit)
 
 
-def _delete_voter_sets(instance):
-    return _subset_actions(DeleteVoterSet, range(len(instance.ballots)), instance.limit)
-
-
-def _voter_partitions(instance):
-    count, sides = _sides(range(len(instance.ballots)))
-    return count, map(VoterPartition, sides)
+def _voter_sides(instance):
+    return 2 ** len(instance.ballots), _sides(range(len(instance.ballots)))
 
 
 # --- the shape table -------------------------------------------------------
@@ -374,9 +386,9 @@ def _voter_partitions(instance):
 class Shape:
     """One of the seven structural attack shapes: its instance and action
     classes, the fields that hold candidate sets and ballots, whether it has
-    a limit k and a tie model, its canonical action enumeration and the final
-    election it runs.  Validation, ``outcome``, the text format, renaming
-    and the solvers all read these entries."""
+    a limit k and a tie model, the canonical enumeration of the sets its
+    actions choose, its bound check and its final election.  Validation,
+    ``outcome``, the text format, renaming and the solvers read these."""
 
     code: str
     instance: type
@@ -386,8 +398,9 @@ class Shape:
     has_k: bool
     has_tie: bool
     k_cap: str | None          # the field whose length bounds k, if any
-    actions: Callable          # instance -> (count, canonical action iterator)
-    final: Callable            # (instance, action, Evaluator) -> final winner set
+    choices: Callable          # instance -> (count, canonical chosen-set iterator)
+    check: Callable            # (instance, action) -> its chosen set, or BoundViolation
+    final: Callable            # (instance, chosen set, CachedEvaluator) -> final winners
 
     @cached_property
     def directives(self) -> frozenset[str]:
@@ -396,23 +409,29 @@ class Shape:
                           *(_DIRECTIVE[name] for name in self.sets + self.profiles),
                           *("k",) * self.has_k, *("tie",) * self.has_tie))
 
+    def act(self, instance: ControlInstance, chosen) -> ControlAction:
+        """The action choosing ``chosen``; a candidate partition's side 2 is the rest."""
+        if self.action is CandidatePartition:
+            return CandidatePartition(chosen, instance.candidates - chosen)
+        return self.action(chosen)
+
 
 SPECS: dict[str, Shape] = {s.code: s for s in (
     Shape("AC", AddCandidates, AddSet, ("qualified", "spoilers"), ("ballots",),
-          False, False, None, _add_sets, _add_candidates),
+          False, False, None, _add_sets, _added_spoilers, _add_candidates),
     Shape("DC", DeleteCandidates, DeleteSet, ("candidates",), ("ballots",),
-          True, False, None, _delete_sets, _delete_candidates),
+          True, False, None, _delete_sets, _deleted_candidates, _delete_candidates),
     Shape("PC", PartitionCandidates, CandidatePartition, ("candidates",), ("ballots",),
-          False, True, None, _candidate_partitions, _partition_candidates),
+          False, True, None, _candidate_sides, _candidate_side1, _partition_candidates),
     Shape("RPC", RunoffPartitionCandidates, CandidatePartition, ("candidates",),
-          ("ballots",), False, True, None, _candidate_partitions,
+          ("ballots",), False, True, None, _candidate_sides, _candidate_side1,
           _runoff_partition_candidates),
     Shape("AV", AddVoters, AddVoterSet, ("candidates",), ("registered", "unregistered"),
-          True, False, "unregistered", _add_voter_sets, _add_voters),
+          True, False, "unregistered", _voter_sets, _added_voters, _add_voters),
     Shape("DV", DeleteVoters, DeleteVoterSet, ("candidates",), ("ballots",),
-          True, False, "ballots", _delete_voter_sets, _delete_voters),
+          True, False, "ballots", _voter_sets, _deleted_voters, _delete_voters),
     Shape("PV", PartitionVoters, VoterPartition, ("candidates",), ("ballots",),
-          False, True, None, _voter_partitions, _partition_voters),
+          False, True, None, _voter_sides, _voter_side1, _partition_voters),
 )}
 SHAPES = tuple(SPECS)
 SHAPE_OF: dict[type, Shape] = {s.instance: s for s in SPECS.values()}
@@ -446,7 +465,7 @@ def outcome(instance: ControlInstance, action: ControlAction,
         evaluate = CachedEvaluator(instance)
     elif evaluate.instance is not instance and evaluate.instance != instance:
         raise ValueError("the evaluator was built from another instance")
-    return shape.final(instance, action, evaluate)
+    return shape.final(instance, shape.check(instance, action), evaluate)
 
 
 def goal_met(instance: ControlInstance, action: ControlAction,

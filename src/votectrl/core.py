@@ -24,7 +24,7 @@ def restrict(ballot: Sequence[int], subset: Iterable[int]) -> Ballot:
     an empty subset yields the empty ballot.
     """
     keep = frozenset(subset)
-    return tuple(c for c in ballot if c in keep)
+    return tuple([c for c in ballot if c in keep])  # a list first: a tuple of known length
 
 
 def unique_winner(winners: Iterable[int], c: int) -> bool:

@@ -175,9 +175,9 @@ def _voters_counted(instance: AddVoters | DeleteVoters, shape: Shape, rule: Rule
         codes, decode = form.codes(form.lanes(chunk), len(chunk))
         for code in dict.fromkeys(codes):
             if unique_winner(decode(code), instance.distinguished) == want:
-                _, subsets = _subsets(range(len(pool)), instance.limit)
-                witness = next(islice(subsets, done + list(codes).index(code), None))
-                return Decision(True, shape.action(frozenset(witness)))
+                skip = done + list(codes).index(code)
+                witness = next(islice(shape.choices(instance)[1], skip, None))
+                return Decision(True, shape.act(instance, witness))
         done += len(chunk)
         size = min(2 * size, 4096)
     return Decision(False, None)
@@ -191,7 +191,8 @@ def brute_force_decide(instance: ControlInstance,
     never changes the candidate set; when that set routes to a
     voter-anonymous rule, AV and DV take ``_voters_counted`` and PV the
     count-class search, whose final run-off is evaluated on the real ballot
-    list.  Everything else tries the actions one by one.
+    list.  Everything else runs the shape's final election on each legal
+    set the enumeration yields, and builds an action only for the witness.
     """
     shape = shape_of(instance)
     if shape.code in ("AV", "DV", "PV"):
@@ -201,13 +202,13 @@ def brute_force_decide(instance: ControlInstance,
             if shape.code == "PV":
                 return _partition_voters_anonymous(instance, CachedEvaluator(instance), budget)
             return _voters_counted(instance, shape, rule, budget)
-    evaluate = CachedEvaluator(instance)
-    count, actions = shape.actions(instance)
+    count, choices = shape.choices(instance)
     if count > budget:
         raise BudgetExceeded(f"{count} {shape.code} actions exceed budget {budget}")
-    for action in actions:
-        if goal_met(instance, action, evaluate):
-            return Decision(True, action)
+    evaluate, want = CachedEvaluator(instance), instance.goal == CONSTRUCTIVE
+    for chosen in choices:
+        if unique_winner(shape.final(instance, chosen, evaluate), instance.distinguished) == want:
+            return Decision(True, shape.act(instance, chosen))
     return Decision(False, None)
 
 

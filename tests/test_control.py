@@ -5,12 +5,12 @@ from dataclasses import replace
 import pytest
 
 from votectrl.control import (
-    ALL_TYPE_CODES, SHAPES, AddCandidates, AddSet, AddVoters, AddVoterSet,
+    ALL_TYPE_CODES, SHAPES, SPECS, AddCandidates, AddSet, AddVoters, AddVoterSet,
     CachedEvaluator, CandidatePartition, DeleteCandidates, DeleteSet,
     DeleteVoters, DeleteVoterSet, PartitionCandidates, PartitionVoters,
     RunoffPartitionCandidates, VoterPartition,
     CONSTRUCTIVE, DESTRUCTIVE, TE, TP,
-    format_instance, goal_met, outcome, parse_instance, shape_of, with_goal,
+    _sides, format_instance, goal_met, outcome, parse_instance, shape_of, with_goal,
 )
 from votectrl.core import restrict
 from votectrl.errors import BoundViolation, ParseError, ShapeMismatch
@@ -251,7 +251,8 @@ def test_outcome_matches_first_principles_on_every_action():
     checked = set()
     for inst in _differential_instances():
         shared = CachedEvaluator(inst)
-        for action in shape_of(inst).actions(inst)[1]:
+        shape = shape_of(inst)
+        for action in (shape.act(inst, chosen) for chosen in shape.choices(inst)[1]):
             want = reference_outcome(inst, action)
             assert outcome(inst, action) == want, (inst, action)
             assert outcome(inst, action, shared) == want, (inst, action)
@@ -272,6 +273,90 @@ def test_outcome_refuses_another_instances_evaluator():
         outcome(inst, action, CachedEvaluator(other))
     with pytest.raises(ValueError):
         goal_met(inst, action, CachedEvaluator(other))
+
+
+# --- the search's chosen sets and the memo's one restriction per miss --------
+
+# the 13 rules, the three hybrids of the random-mix benchmark workload and
+# the hybrids of the vertex-cover gadgets of vc-candidate
+BENCHMARK_SYSTEMS = tuple(atomic(t) for t in ATOMIC_TAGS) + (
+    hybrid("plurality", "condorcet", "not_all_one"), hybrid("e_first", "e_last"),
+    hybrid("e0_solo", "e1_prefix"), hybrid("e0_single", "e1_tri"),
+    hybrid("e0_single", "e1_tri_even"), hybrid("e0_dfirst", "e1_second"))
+# the 20 control types; partition shapes once per tie model
+TYPES = tuple((goal, shape, tie) for goal in (CONSTRUCTIVE, DESTRUCTIVE)
+              for shape in SHAPES
+              for tie in ((TE, TP) if SPECS[shape].has_tie else (TE,)))
+
+
+@pytest.mark.parametrize("goal, shape, tie", [
+    pytest.param(goal, shape, tie, id=("CC" if goal == CONSTRUCTIVE else "DC") + shape
+                 + ("-" + tie if SPECS[shape].has_tie else ""))
+    for goal, shape, tie in TYPES])
+def test_every_enumerated_set_is_a_legal_action(goal, shape, tie):
+    # the search runs ``final`` on the enumeration's sets with no bound
+    # checks, so each set, made into its action, must pass ``outcome``'s
+    # check and give the same winners
+    spec = SPECS[shape]
+    rng = random.Random(TYPES.index((goal, shape, tie)))
+    for sid in BENCHMARK_SYSTEMS:
+        for _ in range(3):
+            inst = random_instance(rng, shape, goal, sid, tie=tie,
+                                   max_candidates=5, max_voters=6)
+            count, choices = spec.choices(inst)
+            chosen_sets = list(choices)
+            assert len(chosen_sets) == count
+            assert len(set(map(frozenset, chosen_sets))) == count
+            evaluate = CachedEvaluator(inst)
+            for chosen in chosen_sets:
+                action = spec.act(inst, chosen)
+                assert type(action) is spec.action
+                assert spec.check(inst, action) == frozenset(chosen)
+                assert outcome(inst, action) == spec.final(inst, chosen, evaluate), (inst, action)
+
+
+def _mask_order_sides(order):
+    """Side-1 sets by ascending mask, bit j standing for ``order[j]``, one
+    mask at a time."""
+    m = len(order)
+    return [frozenset(order[j] for j in range(m) if mask >> j & 1) for mask in range(2 ** m)]
+
+
+@pytest.mark.parametrize("m", range(10))
+def test_partition_sides_come_in_ascending_mask_order(m):
+    # odd m splits into unequal halves, and m = 0 or 1 leaves a half empty
+    picked = random.Random(m).sample(range(30), m)
+    for order in (sorted(picked), picked, range(m)):
+        assert list(_sides(order)) == _mask_order_sides(order)
+
+
+_RNG = random.Random(18)
+_PERMS = list(itertools.permutations(range(4)))
+_FEW = _RNG.sample(_PERMS, 3)
+PROFILES = {
+    "no-ballot": (),
+    "one-ballot": ((2, 0, 3, 1),),
+    "identical-ballots": ((1, 3, 0, 2),) * 5,
+    "100-ballots-3-distinct": tuple(_RNG.choice(_FEW) for _ in range(100)),
+    "distinct-ballots": tuple(_RNG.sample(_PERMS, 7)),
+}
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_cached_evaluator_matches_per_ballot_restriction(profile):
+    ballots = PROFILES[profile]
+    instances = [DeleteCandidates(sid, frozenset(range(4)), 0, ballots, 0, CONSTRUCTIVE)
+                 for sid in BENCHMARK_SYSTEMS]
+    # two candidate-set fields: the ballots rank the qualified and the spoilers
+    instances.append(AddCandidates(TWO_WAY, frozenset({0, 2}), frozenset({1, 3}), 0,
+                                   ballots, CONSTRUCTIVE))
+    # every subset, the empty set among them, twice: a miss, then a hit
+    subsets = [frozenset(s) for r in range(5) for s in itertools.combinations(range(4), r)]
+    for inst in instances:
+        evaluate = CachedEvaluator(inst)
+        for cands in subsets + subsets:
+            want = raw_winners(inst.system, cands, tuple(restrict(b, cands) for b in ballots))
+            assert evaluate(cands) == want, (inst.system, cands)
 
 
 # --- text format -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -88,6 +89,26 @@ def test_budget_exceeded_for_anonymous_voter_partition():
     assert RULES[inst.system.tag].voter_anonymous
     with pytest.raises(BudgetExceeded):
         brute_force_decide(inst, budget=31 * 31 - 1)
+
+
+def test_budget_is_checked_before_any_partition_side_is_built():
+    # 2 ** 30 partitions are refused before the two halves' side sets,
+    # 2 * 2 ** 15 of them, are built
+    pc = PartitionCandidates(PLURALITY, frozenset(range(30)), 0, (tuple(range(30)),),
+                             TE, CONSTRUCTIVE)
+    # e1_prefix reads ballot order, so PV walks the voter partitions
+    pv = PartitionVoters(atomic("e1_prefix"), frozenset({0, 1}), 0, ((0, 1),) * 30,
+                         TE, CONSTRUCTIVE)
+    assert not RULES[pv.system.tag].voter_anonymous
+    for inst in (pc, pv):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                brute_force_decide(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (type(inst).__name__, peak)
 
 
 def test_decisions_are_deterministic():
