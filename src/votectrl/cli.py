@@ -39,10 +39,8 @@ _ACTION_FORMATS = {
 
 
 def render_action(action) -> str:
-    fmt = _ACTION_FORMATS.get(type(action))
-    if fmt is None:
-        return repr(action)
-    return fmt.format_map({name: _render_ids(ids) for name, ids in vars(action).items()})
+    return _ACTION_FORMATS[type(action)].format_map(
+        {name: _render_ids(ids) for name, ids in vars(action).items()})
 
 
 def _natural(text: str) -> int:
@@ -84,14 +82,17 @@ def cmd_decide(args) -> int:
 def _build_reduction(args):
     """Parse ``--input`` and build the ``--to`` target, or the source's first.
     A partition target, built under TE, may also be spelled ``<T>-TE``."""
-    parse, _, build, _, targets = reductions.SOURCES[args.source]
-    spellings = {t: t for t in targets}
-    spellings.update((t + "-TE", t) for t in targets if SPECS[t[2:]].has_tie)
-    to = targets[0] if args.to is None else args.to.upper()
+    rows = [g for g in reductions.GADGETS.values() if g.source == args.source]
+    spellings = {g.code: g for g in rows}
+    spellings.update((g.code + "-TE", g) for g in rows if SPECS[g.code[2:]].has_tie)
+    to = rows[0].code if args.to is None else args.to.upper()
     if to not in spellings:
         raise ParseError(f"{args.source} reduces to one of {', '.join(spellings)}")
-    source = parse(_read(args.input))
-    return source, build(source, spellings[to], args.k)
+    source = reductions.PARSERS[rows[0].kind](_read(args.input))
+    if (args.k is None) == (args.source == "vc"):  # only vc takes --k, and vc needs it
+        raise ParseError("vc reduction needs a cover bound k (--k)" if args.k is None
+                         else "only vc takes a cover bound k (--k)")
+    return source, spellings[to].build(source, args.k)
 
 
 def cmd_reduce(args) -> int:
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("reduce", cmd_reduce), ("verify", cmd_verify)):
         p = sub.add_parser(name, help=f"{name} a source instance")
         p.add_argument("--from", dest="source", required=True,
-                       choices=tuple(reductions.SOURCES))
+                       choices=tuple(dict.fromkeys(s for s, _ in reductions.GADGETS)))
         p.add_argument("--to", required=(name == "reduce"))
         p.add_argument("--input", required=True)
         p.add_argument("--k", type=int, default=None)

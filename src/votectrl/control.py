@@ -227,7 +227,6 @@ class CachedEvaluator:
     """
 
     def __init__(self, instance: ControlInstance):
-        self.instance = instance
         self.system = instance.system
         self._memo: dict[frozenset[int], frozenset[int]] = {}
         profile: dict[Ballot, int] = {}
@@ -449,29 +448,18 @@ def shape_of(instance: ControlInstance) -> Shape:
 # --- outcome evaluation ----------------------------------------------------
 
 
-def outcome(instance: ControlInstance, action: ControlAction,
-            evaluate: CachedEvaluator | None = None) -> frozenset[int]:
-    """Winner set after the chair applies ``action`` to ``instance``.
-
-    ``evaluate`` is a ``CachedEvaluator`` built from this same instance,
-    shared across actions so that each candidate-set election is evaluated
-    once; without one, a fresh one is built.
-    """
+def outcome(instance: ControlInstance, action: ControlAction) -> frozenset[int]:
+    """Winner set after the chair applies ``action`` to ``instance``."""
     shape = shape_of(instance)
     if type(action) is not shape.action:
         raise ShapeMismatch(
             f"{type(action).__name__} does not fit {type(instance).__name__}")
-    if evaluate is None:
-        evaluate = CachedEvaluator(instance)
-    elif evaluate.instance is not instance and evaluate.instance != instance:
-        raise ValueError("the evaluator was built from another instance")
-    return shape.final(instance, shape.check(instance, action), evaluate)
+    return shape.final(instance, shape.check(instance, action), CachedEvaluator(instance))
 
 
-def goal_met(instance: ControlInstance, action: ControlAction,
-             evaluate: CachedEvaluator | None = None) -> bool:
+def goal_met(instance: ControlInstance, action: ControlAction) -> bool:
     """Does ``action`` achieve the chair's goal for the distinguished candidate?"""
-    won = unique_winner(outcome(instance, action, evaluate), instance.distinguished)
+    won = unique_winner(outcome(instance, action), instance.distinguished)
     return won if instance.goal == CONSTRUCTIVE else not won
 
 

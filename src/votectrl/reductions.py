@@ -5,15 +5,17 @@ ids are the smallest naturals above the used range (with the parities the
 hybrid routing needs), vertex relabeling is by ascending original id, and
 every "remaining candidates in some arbitrary order" tail is ascending.
 ``verify_reduction`` checks the answer-preservation of a single instance by
-running brute-force oracles on both sides.  ``SOURCES`` is the one list of
-which gadgets exist, by source problem.
+running brute-force oracles on both sides.  ``GADGETS`` is the one table of
+which gadgets exist: a ``Gadget`` row per (source problem, type code), from
+which ``source_answer``, the target lists and the command line's
+``reduce``/``verify`` are derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .control import (
     AddVoters, ControlInstance, DeleteCandidates, DeleteVoters, PartitionVoters,
@@ -87,10 +89,6 @@ def x3c_oracle(instance: X3CInstance) -> bool:
     return False
 
 
-def _covers(vertex_subset: frozenset[int], edges: frozenset[frozenset[int]]) -> bool:
-    return all(e & vertex_subset for e in edges)
-
-
 def vc_oracle(g: GraphInstance, k: int) -> bool:
     """Does the graph have a vertex cover of size at most k?"""
     return any(vc_exact_oracle(g, size) for size in range(min(k, len(g.vertices)) + 1))
@@ -103,7 +101,7 @@ def vc_exact_oracle(g: GraphInstance, size: int) -> bool:
     vs = sorted(g.vertices)
     if not 0 <= size <= len(vs):
         return False
-    return any(_covers(frozenset(combo), g.edges)
+    return any(all(e.intersection(combo) for e in g.edges)
                for combo in combinations(vs, size))
 
 
@@ -163,11 +161,10 @@ def reduce_x3c(instance: X3CInstance, target: str) -> ControlInstance:
                            TE, DESTRUCTIVE)
 
 
-def _relabel(g: GraphInstance) -> tuple[dict[int, int], list[tuple[int, int]]]:
+def _relabeled_edges(g: GraphInstance) -> list[tuple[int, int]]:
     """Vertices become 2, 4, ..., 2n by ascending original id; edges sorted."""
     mapping = {v: 2 * (i + 1) for i, v in enumerate(sorted(g.vertices))}
-    edges = sorted(tuple(sorted(mapping[v] for v in e)) for e in g.edges)
-    return mapping, edges
+    return sorted(tuple(sorted(mapping[v] for v in e)) for e in g.edges)
 
 
 def reduce_vc_to_ccdc(g: GraphInstance, k: int) -> ControlInstance:
@@ -175,7 +172,7 @@ def reduce_vc_to_ccdc(g: GraphInstance, k: int) -> ControlInstance:
     n = len(g.vertices)
     if not 0 <= k <= n:
         raise InvariantViolation("cover bound k must satisfy 0 <= k <= n")
-    _, edges = _relabel(g)
+    edges = _relabeled_edges(g)
     cands = frozenset({0, 1}) | frozenset(range(2, 2 * n + 1, 2))
     ballots = [_ballot([0], cands), _ballot([1, 0], cands)]
     ballots += [_ballot([i, j, 0], cands) for i, j in edges]
@@ -193,7 +190,7 @@ def reduce_half_vc(g: GraphInstance, target: str) -> ControlInstance:
             raise ParityViolation("run-off partition target needs odd n > 1")
     elif n % 2 == 1 or n == 0:
         raise ParityViolation(f"{target} target needs even n > 0")
-    _, edges = _relabel(g)
+    edges = _relabeled_edges(g)
     evens = frozenset(range(2, 2 * n + 1, 2))
 
     if target == "CCRPC":
@@ -239,11 +236,11 @@ class ReductionReport:
 
 def source_answer(source, target: ControlInstance) -> bool:
     """Run the oracle of the source problem whose gadget builds this target."""
-    for _, kind, _, oracle, targets in SOURCES.values():
-        if isinstance(source, kind) and target.type_code in targets:
-            return oracle(source, target)
-    raise InvariantViolation(
-        f"no {type(source).__name__} gadget builds a {target.type_code} instance")
+    gadget = _BY_KIND.get((type(source), target.type_code))
+    if gadget is None:
+        raise InvariantViolation(
+            f"no {type(source).__name__} gadget builds a {target.type_code} instance")
+    return gadget.oracle(source, target)
 
 
 def verify_reduction(source, target: ControlInstance) -> ReductionReport:
@@ -332,33 +329,35 @@ def format_graph(g: GraphInstance) -> str:
 # --- the reduction table ---------------------------------------------------
 
 
-def _reduce_vc(g: GraphInstance, target: str, k: int | None) -> ControlInstance:
-    if k is None:
-        raise InvariantViolation("vc reduction needs a cover bound k (--k)")
-    return reduce_vc_to_ccdc(g, k)
+@dataclass(frozen=True)
+class Gadget:
+    """A verified gadget from ``source``, parsed by ``PARSERS[kind]``, into
+    ``code``: ``build(source, k)`` makes the target (a partition one under TE;
+    only vc's reads k) and ``oracle(source, target)`` answers the source."""
+
+    source: str
+    code: str
+    kind: type
+    build: Callable[[Any, int | None], ControlInstance]
+    oracle: Callable[[Any, ControlInstance], bool]
 
 
-def _without_k(reduce):
-    """The builder of a source whose gadgets take no cover bound."""
-    def build(source, target: str, k: int | None) -> ControlInstance:
-        if k is not None:
-            raise InvariantViolation("only vc takes a cover bound k (--k)")
-        return reduce(source, target)
-    return build
+def _rows(source, kind, reduce, oracle, codes):
+    """A row per code, for a builder that takes the code and no k."""
+    return [Gadget(source, code, kind, lambda s, k, code=code: reduce(s, code),
+                   lambda s, target: oracle(s)) for code in codes]
 
 
-# source problem -> (parser, source class, builder(source, target code, k),
-# oracle(source, target instance), target codes).  The first target is the
-# default; every partition target is built under TE.
-SOURCES = {
-    "x3c": (parse_x3c, X3CInstance, _without_k(reduce_x3c),
-            lambda x, inst: x3c_oracle(x), ("DCDV", "DCAV", "DCPV")),
-    "vc": (parse_graph, GraphInstance, _reduce_vc,
-           lambda g, inst: vc_oracle(g, inst.limit), ("CCDC",)),
-    "ohvc": (parse_graph, GraphInstance, _without_k(reduce_half_vc),
-             lambda g, inst: odd_half_vc_oracle(g), ("CCRPC",)),
-    "ehvc": (parse_graph, GraphInstance, _without_k(reduce_half_vc),
-             lambda g, inst: even_half_vc_oracle(g), ("CCPC", "DCDC", "DCPC", "DCRPC")),
-}
-X3C_TARGETS = SOURCES["x3c"][4]
-HALF_VC_TARGETS = SOURCES["ohvc"][4] + SOURCES["ehvc"][4]
+PARSERS = {X3CInstance: parse_x3c, GraphInstance: parse_graph}
+# (source, code) -> its gadget; a source's first row is its default target
+GADGETS = {(g.source, g.code): g for g in (
+    *_rows("x3c", X3CInstance, reduce_x3c, x3c_oracle, ("DCDV", "DCAV", "DCPV")),
+    Gadget("vc", "CCDC", GraphInstance, reduce_vc_to_ccdc,
+           lambda g, target: vc_oracle(g, target.limit)),
+    *_rows("ohvc", GraphInstance, reduce_half_vc, odd_half_vc_oracle, ("CCRPC",)),
+    *_rows("ehvc", GraphInstance, reduce_half_vc, even_half_vc_oracle,
+           ("CCPC", "DCDC", "DCPC", "DCRPC")),
+)}
+_BY_KIND = {(g.kind, g.code): g for g in GADGETS.values()}  # source_answer's lookup
+X3C_TARGETS = tuple(code for source, code in GADGETS if source == "x3c")
+HALF_VC_TARGETS = tuple(code for source, code in GADGETS if source in ("ohvc", "ehvc"))

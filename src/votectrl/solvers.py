@@ -26,7 +26,8 @@ from .control import (
     AddCandidates, AddSet, AddVoters, CachedEvaluator, CandidatePartition,
     ControlAction, ControlInstance, DeleteCandidates, DeleteSet, DeleteVoters,
     PartitionCandidates, PartitionVoters, RunoffPartitionCandidates, Shape,
-    VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, _subsets, _survivors, goal_met, shape_of,
+    VoterPartition, CONSTRUCTIVE, DESTRUCTIVE, SPECS, _subsets, _survivors, goal_met,
+    shape_of,
 )
 from .core import restrict, unique_winner
 from .errors import BudgetExceeded, WrongSystem
@@ -93,9 +94,10 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
 
     # the empty side 1 comes first in mask order; trying it alone spares
     # building the classes whenever doing nothing already meets the goal
-    nothing = VoterPartition(frozenset())
-    if goal_met(instance, nothing, evaluate):
-        return Decision(True, nothing)
+    want = instance.goal == CONSTRUCTIVE
+    if unique_winner(SPECS["PV"].final(instance, frozenset(), evaluate),
+                     instance.distinguished) == want:
+        return Decision(True, VoterPartition(frozenset()))
 
     # both subelections keep the full candidate set, so the routed rule is fixed
     cands, n = instance.candidates, len(instance.ballots)
@@ -117,7 +119,7 @@ def _partition_voters_anonymous(instance: PartitionVoters, evaluate,
     ones = form.ones(count)
     block, whole = form.lanes(inner_sums), full * ones
 
-    want, tie, lost = instance.goal == CONSTRUCTIVE, instance.tie, set()
+    tie, lost = instance.tie, set()
     judged = bytearray(len(masks))
     for o in sorted(range(len(masks)), key=masks.__getitem__):
         if judged[last - o]:

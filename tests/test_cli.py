@@ -3,9 +3,9 @@ import pytest
 from votectrl.cli import main, poly_decide, render_action
 from votectrl.control import (
     AddSet, CandidatePartition, DeleteSet, DeleteVoterSet, AddVoterSet,
-    VoterPartition, SPECS,
+    VoterPartition, SPECS, parse_instance,
 )
-from votectrl.reductions import SOURCES
+from votectrl.reductions import GADGETS, PARSERS
 
 ELECTION = "candidates 0 1 2\nballot 2 > 1 > 0\n"
 
@@ -122,19 +122,6 @@ def test_decide_negative_budget_is_a_usage_error(tmp_path, capsys):
     assert "expected a count >= 0, got -1" in err
 
 
-def test_reduce_then_decide_roundtrip(tmp_path, capsys):
-    src = tmp_path / "x3c.txt"
-    src.write_text(X3C_YES)
-    out_path = tmp_path / "inst.txt"
-    code, out, _ = run(capsys, "reduce", "--from", "x3c", "--to", "DCDV",
-                       "--input", str(src), "--output", str(out_path))
-    assert code == 0
-    assert "DCDV" in out
-    code, out, _ = run(capsys, "decide", "--instance", str(out_path))
-    assert code == 0
-    assert out.startswith("YES")  # the family has an exact cover
-
-
 def test_reduce_rejects_bad_target(tmp_path, capsys):
     src = tmp_path / "x3c.txt"
     src.write_text(X3C_YES)
@@ -185,7 +172,9 @@ SOURCE_INPUTS = {
     "ohvc": (GRAPH, ()),
     "ehvc": ("vertices 2\nedge 1 2\n", ()),
 }
-SOURCE_TARGETS = [(name, t) for name, entry in SOURCES.items() for t in entry[4]]
+SOURCE_TARGETS = list(GADGETS)
+SOURCE_NAMES = tuple(dict.fromkeys(name for name, _ in GADGETS))
+ROW_IDS = [f"{s}-{t}" for s, t in SOURCE_TARGETS]
 
 
 def _verify(tmp_path, capsys, source, *extra):
@@ -195,8 +184,27 @@ def _verify(tmp_path, capsys, source, *extra):
     return run(capsys, "verify", "--from", source, "--input", str(f), *args, *extra)
 
 
-@pytest.mark.parametrize("source, target", SOURCE_TARGETS,
-                         ids=[f"{s}-{t}" for s, t in SOURCE_TARGETS])
+@pytest.mark.parametrize("source, target", SOURCE_TARGETS, ids=ROW_IDS)
+def test_reduce_then_decide_roundtrip(tmp_path, capsys, source, target):
+    # reduce writes the builder's instance, and decide on the written file
+    # answers as verify's target does
+    text, args = SOURCE_INPUTS[source]
+    f, written = tmp_path / "src.txt", tmp_path / "inst.txt"
+    f.write_text(text)
+    code, out, _ = run(capsys, "reduce", "--from", source, "--to", target,
+                       "--input", str(f), *args, "--output", str(written))
+    assert (code, out) == (0, f"wrote {target} instance to {written}\n")
+    gadget = GADGETS[source, target]
+    k = int(args[1]) if args else None
+    assert parse_instance(written.read_text()) == gadget.build(PARSERS[gadget.kind](text), k)
+    code, out, _ = _verify(tmp_path, capsys, source, "--to", target)
+    assert code == 0
+    answer = out.split("target=")[1].split()[0]
+    code, out, _ = run(capsys, "decide", "--instance", str(written))
+    assert code == 0 and out.split()[0] == answer
+
+
+@pytest.mark.parametrize("source, target", SOURCE_TARGETS, ids=ROW_IDS)
 def test_verify_every_gadget_in_the_table(tmp_path, capsys, source, target):
     code, out, _ = _verify(tmp_path, capsys, source, "--to", target)
     assert code == 0
@@ -209,9 +217,9 @@ def test_verify_every_gadget_in_the_table(tmp_path, capsys, source, target):
         assert f"{source} reduces to one of" in err
 
 
-@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("source", SOURCE_NAMES)
 def test_reduction_rejects_targets_of_other_sources(tmp_path, capsys, source):
-    targets = SOURCES[source][4]
+    targets = [t for name, t in SOURCE_TARGETS if name == source]
     foreign = next(t for name, t in SOURCE_TARGETS if t not in targets)
     for bad in ("CCDC-TE", foreign):
         code, out, err = _verify(tmp_path, capsys, source, "--to", bad)
@@ -221,13 +229,14 @@ def test_reduction_rejects_targets_of_other_sources(tmp_path, capsys, source):
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])
-@pytest.mark.parametrize("source", [s for s in SOURCES if s != "vc"])
+@pytest.mark.parametrize("source", [s for s in SOURCE_NAMES if s != "vc"])
 def test_only_vc_takes_a_cover_bound(tmp_path, capsys, command, source):
     text, _ = SOURCE_INPUTS[source]
     f = tmp_path / "src.txt"
     f.write_text(text)
     written = tmp_path / "o.txt"
-    extra = (("--to", SOURCES[source][4][0], "--output", str(written))
+    first = next(t for name, t in SOURCE_TARGETS if name == source)
+    extra = (("--to", first, "--output", str(written))
              if command == "reduce" else ())
     code, out, err = run(capsys, command, "--from", source, "--input", str(f),
                          "--k", "99", *extra)

@@ -250,29 +250,12 @@ def _differential_instances():
 def test_outcome_matches_first_principles_on_every_action():
     checked = set()
     for inst in _differential_instances():
-        shared = CachedEvaluator(inst)
         shape = shape_of(inst)
         for action in (shape.act(inst, chosen) for chosen in shape.choices(inst)[1]):
-            want = reference_outcome(inst, action)
-            assert outcome(inst, action) == want, (inst, action)
-            assert outcome(inst, action, shared) == want, (inst, action)
+            assert outcome(inst, action) == reference_outcome(inst, action), (inst, action)
         checked.add((inst.system, shape_of(inst).code))
     # every (system, shape) pair of the draws, and the gadgets' four
     assert len(checked) == len(DIFFERENTIAL_SYSTEMS) * len(SHAPES) + 4
-
-
-def test_outcome_refuses_another_instances_evaluator():
-    inst = DeleteCandidates(atomic("e1_prefix"), frozenset({0, 1, 2}), 0,
-                            ((1, 2, 0), (2, 0, 1)), 2, CONSTRUCTIVE)
-    other = replace(inst, ballots=((0, 2, 1), (2, 0, 1)))
-    action = DeleteSet(frozenset({1}))
-    # an equal copy of the instance may share its memo
-    assert outcome(inst, action, CachedEvaluator(replace(inst))) == {2}
-    assert reference_outcome(other, action) == {0}
-    with pytest.raises(ValueError):
-        outcome(inst, action, CachedEvaluator(other))
-    with pytest.raises(ValueError):
-        goal_met(inst, action, CachedEvaluator(other))
 
 
 # --- the search's chosen sets and the memo's one restriction per miss --------

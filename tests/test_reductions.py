@@ -12,7 +12,7 @@ from votectrl.reductions import (
     GraphInstance, X3CInstance, even_half_vc_oracle, format_graph, format_x3c,
     odd_half_vc_oracle, parse_graph, parse_x3c, reduce_half_vc, reduce_vc_to_ccdc,
     reduce_x3c, source_answer, vc_exact_oracle, vc_oracle, verify_reduction,
-    x3c_oracle, SOURCES, X3C_TARGETS, HALF_VC_TARGETS,
+    x3c_oracle, GADGETS, X3C_TARGETS, HALF_VC_TARGETS,
 )
 from votectrl.solvers import POLY_DECIDERS
 
@@ -188,6 +188,8 @@ def test_source_answer_dispatch():
     assert source_answer(TRIANGLE, reduce_vc_to_ccdc(TRIANGLE, 2))
     assert source_answer(TRIANGLE, reduce_half_vc(TRIANGLE, "CCRPC"))
     assert source_answer(EDGE, reduce_half_vc(EDGE, "DCPC")) == even_half_vc_oracle(EDGE)
+    # the lookup is by source class and type code, so each pair names one row
+    assert len({(g.kind, g.code) for g in GADGETS.values()}) == len(GADGETS)
 
 
 def test_source_answer_refuses_a_target_the_source_cannot_build():
@@ -208,8 +210,8 @@ def coverage():
         for shape in SHAPES:
             for tie in ("-TE", "-TP") if SPECS[shape].has_tie else ("",):
                 code = prefix + shape
-                gadgets = tuple(name for name, entry in SOURCES.items()
-                                if code in entry[4] and tie != "-TP")
+                gadgets = tuple(name for name, target in GADGETS
+                                if target == code and tie != "-TP")
                 tags = tuple(t for s, g, t in POLY_DECIDERS if (s, g) == (shape, goal))
                 rows[code + tie] = (gadgets, tags)
     return rows
